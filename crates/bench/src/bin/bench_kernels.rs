@@ -8,7 +8,9 @@
 //!   * blocked `potrf_blocked_f64`,
 //!
 //! and, on the tile path, the steady-state workspace reallocation count per
-//! task (the allocation-free invariant: must be 0 after warmup).
+//! task (the allocation-free invariant: must be 0 after warmup), plus tile
+//! GEMM GFLOP/s for every kernel precision at nb ∈ {128, 256} (operands in
+//! their storage format, quantized inside the call, serial kernel).
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_kernels`
 //! Options: `--n=256 --reps=7 --out=BENCH_kernels.json`
@@ -16,7 +18,7 @@
 use mixedp_bench::timing::{median_secs, pseudo};
 use mixedp_bench::Args;
 use mixedp_core::wire::{pack_tile_into, quantize_through_wire, reference_through_wire, Packing};
-use mixedp_fp::{CommPrecision, Precision, StoragePrecision};
+use mixedp_fp::{storage_precision_of, CommPrecision, Precision, StoragePrecision};
 use mixedp_kernels::{
     blas, gemm_tile_ws, potrf_blocked_f64, reference_gemm_nt_f64, reference_potrf_f64,
     reference_syrk_ln_f64, Workspace,
@@ -116,6 +118,29 @@ fn main() {
     println!("gemm blocked-vs-reference speedup: {gemm_speedup:.2}x");
     println!("syrk blocked-vs-reference speedup: {syrk_speedup:.2}x");
 
+    // Tile GEMM per kernel precision, on tiles stored as the precision map
+    // stores them (FP16-class tiles in FP32).
+    let mut tile_rows: Vec<(Precision, usize, f64)> = Vec::new();
+    for nb in [128, 256] {
+        for p in Precision::ALL {
+            let sp = storage_precision_of(p);
+            let ta = Tile::from_f64(nb, nb, &pseudo(nb * nb, 5), sp);
+            let tb = Tile::from_f64(nb, nb, &pseudo(nb * nb, 6), sp);
+            let c_init = pseudo(nb * nb, 7);
+            let mut tc = Tile::from_f64(nb, nb, &c_init, sp);
+            let t = median_secs(reps, || {
+                tc.store_f64(&c_init);
+                gemm_tile_ws(p, &ta, &tb, &mut tc, &mut ws, false);
+            });
+            let gflops = 2.0 * (nb * nb * nb) as f64 / t / 1e9;
+            println!(
+                "tile gemm {:<8} nb={nb:<4} {gflops:>8.2} GFLOP/s",
+                p.label()
+            );
+            tile_rows.push((p, nb, gflops));
+        }
+    }
+
     // Conversion / pack throughput: the wire engine's fused one-pass
     // quantization vs the old two-pass (narrow Tile then widen) route, plus
     // the fused convert-and-pack itself, per wire precision.
@@ -172,6 +197,15 @@ fn main() {
     json.push_str(&format!(
         "  \"workspace_reallocs_per_task\": {allocs_per_task},\n"
     ));
+    json.push_str("  \"tile_gemm_gflops\": {\n");
+    for (i, (p, nb, gflops)) in tile_rows.iter().enumerate() {
+        let comma = if i + 1 == tile_rows.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    \"{}_nb{nb}\": {gflops:.4}{comma}\n",
+            p.label()
+        ));
+    }
+    json.push_str("  },\n");
     json.push_str("  \"conversion\": {\n");
     for (i, (wname, fused, two, pack)) in conv_rows.iter().enumerate() {
         let comma = if i + 1 == conv_rows.len() { "" } else { "," };

@@ -12,6 +12,11 @@
 //!   fused pass on the receiver. Both are bit-compatible with the two-pass
 //!   `converted_to(wire).converted_to(storage)` route (property-tested),
 //!   because every step of that route rounds at most once.
+//! * **F16C on the fp16 path** — F32-sourced fp16 packing and every
+//!   widening fp16 unpack convert whole slabs through
+//!   [`mixedp_kernels::f16c`], bit-identical to the scalar shim (NaN
+//!   payloads aside). F64-sourced packing keeps the exact `f16::from_f64`
+//!   encoder: rounding through f32 first could double round.
 //! * **Symmetric lower packing** — [`Packing::Lower`] ships only the
 //!   `r(r+1)/2` lower-triangle elements of a (square) diagonal tile. A
 //!   factored `L_kk` has a zeroed strict upper triangle, so zero-filling on
@@ -30,6 +35,7 @@
 
 use half::f16;
 use mixedp_fp::{CommPrecision, StoragePrecision};
+use mixedp_kernels::f16c;
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
 
@@ -46,6 +52,11 @@ pub const FRAME_HEADER_BYTES: usize = 24;
 /// at most 8 KiB of source — source slab plus packed output stay within L1
 /// while giving the autovectorizer long, branch-free inner loops.
 const PACK_SLAB: usize = 1024;
+
+/// Elements per F16C conversion step of the fp16 pack/unpack loops: small
+/// enough that the stack scratch costs nothing to zero, even for the short
+/// rows of [`Packing::Lower`].
+const F16_CHUNK: usize = 64;
 
 /// How a tile's elements are laid out in its wire payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +209,47 @@ fn pack_slice<T: Copy, const W: usize>(src: &[T], out: &mut Vec<u8>, conv: impl 
     }
 }
 
-/// Pack a row-major source buffer under `packing`.
+/// Append f32 elements as binary16 wire bytes, rounding each chunk with the
+/// F16C converter (bit-identical to `f16::from_f32` up to NaN payload).
+fn pack_f32_as_f16(src: &[f32], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + src.len() * 2, 0);
+    let mut h = [f16::ZERO; F16_CHUNK];
+    for (ss, ds) in src
+        .chunks(F16_CHUNK)
+        .zip(out[start..].chunks_mut(F16_CHUNK * 2))
+    {
+        let h = &mut h[..ss.len()];
+        f16c::f32_to_f16(ss, h);
+        for (x, d) in h.iter().zip(ds.chunks_exact_mut(2)) {
+            d.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// Pack the runs of a row-major source buffer that `packing` ships, each
+/// through `pack`.
+#[inline]
+fn pack_runs<T>(
+    src: &[T],
+    rows: usize,
+    cols: usize,
+    packing: Packing,
+    out: &mut Vec<u8>,
+    mut pack: impl FnMut(&[T], &mut Vec<u8>),
+) {
+    match packing {
+        Packing::Full => pack(src, out),
+        Packing::Lower => {
+            assert_eq!(rows, cols, "lower packing needs a square tile");
+            for i in 0..rows {
+                pack(&src[i * cols..i * cols + i + 1], out);
+            }
+        }
+    }
+}
+
+/// Pack a row-major source buffer under `packing`, element by element.
 #[inline]
 fn pack_src<T: Copy, const W: usize>(
     src: &[T],
@@ -208,15 +259,7 @@ fn pack_src<T: Copy, const W: usize>(
     out: &mut Vec<u8>,
     conv: impl Fn(T) -> [u8; W] + Copy,
 ) {
-    match packing {
-        Packing::Full => pack_slice(src, out, conv),
-        Packing::Lower => {
-            assert_eq!(rows, cols, "lower packing needs a square tile");
-            for i in 0..rows {
-                pack_slice(&src[i * cols..i * cols + i + 1], out, conv);
-            }
-        }
-    }
+    pack_runs(src, rows, cols, packing, out, |s, o| pack_slice(s, o, conv));
 }
 
 /// Fused convert-and-pack: append the wire payload of `t` at `wire`
@@ -244,9 +287,7 @@ pub fn pack_tile_into(t: &Tile, wire: CommPrecision, packing: Packing, out: &mut
         (TileBuf::F32(v), CommPrecision::Fp32) => {
             pack_src(v, r, c, packing, out, |x: f32| x.to_le_bytes())
         }
-        (TileBuf::F32(v), CommPrecision::Fp16) => pack_src(v, r, c, packing, out, |x: f32| {
-            f16::from_f32(x).to_bits().to_le_bytes()
-        }),
+        (TileBuf::F32(v), CommPrecision::Fp16) => pack_runs(v, r, c, packing, out, pack_f32_as_f16),
         (TileBuf::F16(v), CommPrecision::Fp64) => {
             pack_src(v, r, c, packing, out, |x: f16| x.to_f64().to_le_bytes())
         }
@@ -263,8 +304,33 @@ pub fn pack_tile_into(t: &Tile, wire: CommPrecision, packing: Packing, out: &mut
     obs::span_end(sp, obs::EventKind::WirePack, bytes);
 }
 
-/// Decode `payload` into a row-major element buffer through `conv`,
-/// zero-filling the strict upper triangle under [`Packing::Lower`].
+/// Decode `payload` (`W` bytes per element) into a row-major element buffer
+/// through `decode`, run by run, zero-filling the strict upper triangle
+/// under [`Packing::Lower`].
+#[inline]
+fn unpack_runs<T: Copy + Default, const W: usize>(
+    payload: &[u8],
+    rows: usize,
+    cols: usize,
+    packing: Packing,
+    mut decode: impl FnMut(&[u8], &mut [T]),
+) -> Vec<T> {
+    let mut v = vec![T::default(); rows * cols];
+    match packing {
+        Packing::Full => decode(payload, &mut v),
+        Packing::Lower => {
+            let mut off = 0;
+            for i in 0..rows {
+                let n = (i + 1) * W;
+                decode(&payload[off..off + n], &mut v[i * cols..i * cols + i + 1]);
+                off += n;
+            }
+        }
+    }
+    v
+}
+
+/// [`unpack_runs`] element by element through `conv`.
 #[inline]
 fn unpack_dst<T: Copy + Default, const W: usize>(
     payload: &[u8],
@@ -273,26 +339,26 @@ fn unpack_dst<T: Copy + Default, const W: usize>(
     packing: Packing,
     conv: impl Fn([u8; W]) -> T + Copy,
 ) -> Vec<T> {
-    let decode = |bytes: &[u8], dst: &mut [T]| {
+    unpack_runs::<T, W>(payload, rows, cols, packing, |bytes, dst| {
         for (d, s) in dst.iter_mut().zip(bytes.chunks_exact(W)) {
             *d = conv(s.try_into().unwrap());
         }
-    };
-    match packing {
-        Packing::Full => {
-            let mut v = vec![T::default(); rows * cols];
-            decode(payload, &mut v);
-            v
+    })
+}
+
+/// Decode binary16 wire bytes, widening each chunk with the F16C converter
+/// (exact) and then through `widen` (f32 → storage, exact).
+fn unpack_f16_widened<T: Copy>(bytes: &[u8], dst: &mut [T], widen: impl Fn(f32) -> T) {
+    let mut h = [f16::ZERO; F16_CHUNK];
+    let mut w = [0.0f32; F16_CHUNK];
+    for (bs, ds) in bytes.chunks(F16_CHUNK * 2).zip(dst.chunks_mut(F16_CHUNK)) {
+        let (h, w) = (&mut h[..ds.len()], &mut w[..ds.len()]);
+        for (x, b) in h.iter_mut().zip(bs.chunks_exact(2)) {
+            *x = f16::from_bits(u16::from_le_bytes([b[0], b[1]]));
         }
-        Packing::Lower => {
-            let mut v = vec![T::default(); rows * cols];
-            let mut off = 0;
-            for i in 0..rows {
-                let n = (i + 1) * W;
-                decode(&payload[off..off + n], &mut v[i * cols..i * cols + i + 1]);
-                off += n;
-            }
-            v
+        f16c::f16_to_f32(h, w);
+        for (d, &x) in ds.iter_mut().zip(w.iter()) {
+            *d = widen(x);
         }
     }
 }
@@ -337,13 +403,13 @@ fn unpack_tile_inner(
     let p = meta.packing;
     let buf = match (wire, storage) {
         (CommPrecision::Fp16, StoragePrecision::F64) => {
-            TileBuf::F64(unpack_dst(payload, rows, cols, p, |b: [u8; 2]| {
-                f16::from_bits(u16::from_le_bytes(b)).to_f64()
+            TileBuf::F64(unpack_runs::<_, 2>(payload, rows, cols, p, |b, d| {
+                unpack_f16_widened(b, d, |x| x as f64)
             }))
         }
         (CommPrecision::Fp16, StoragePrecision::F32) => {
-            TileBuf::F32(unpack_dst(payload, rows, cols, p, |b: [u8; 2]| {
-                f16::from_bits(u16::from_le_bytes(b)).to_f32()
+            TileBuf::F32(unpack_runs::<_, 2>(payload, rows, cols, p, |b, d| {
+                unpack_f16_widened(b, d, |x| x)
             }))
         }
         (CommPrecision::Fp16, StoragePrecision::F16) => {
@@ -400,7 +466,9 @@ pub fn quantize_through_wire(t: &Tile, wire: CommPrecision) -> Tile {
             TileBuf::F64(v.iter().map(|&x| f16::from_f64(x).to_f64()).collect())
         }
         (TileBuf::F32(v), CommPrecision::Fp16) => {
-            TileBuf::F32(v.iter().map(|&x| f16::from_f32(x).to_f32()).collect())
+            let mut w = vec![0.0; v.len()];
+            f16c::round_f16(v, &mut w);
+            TileBuf::F32(w)
         }
     };
     Tile::from_buf(rows, cols, buf)

@@ -7,12 +7,14 @@
 //! (and `f32`) buffers plus the naive `reference_*` oracles they are tested
 //! against; [`mp`] provides tile-level wrappers whose arithmetic follows
 //! each precision format's semantics exactly (see crate `mixedp-fp`);
+//! [`f16c`] provides their vectorized, bit-exact FP16-class fast paths;
 //! [`workspace`] provides the reusable per-worker scratch that makes the
 //! tile data path allocation-free in steady state; [`validate`] provides the
 //! error norms used by the tests and the GEMM-accuracy benchmark (paper
 //! Fig 1).
 
 pub mod blas;
+pub mod f16c;
 pub mod mp;
 pub mod solve;
 pub mod validate;
@@ -27,8 +29,8 @@ pub use blas::{
 };
 pub use mp::{
     compute_format_index, gemm_tile, gemm_tile_ws, gemm_tile_ws_cached, kernel_flops,
-    make_compute_buf, potrf_tile, potrf_tile_ws, syrk_tile, syrk_tile_ws, trsm_effective_precision,
-    trsm_tile, trsm_tile_ws, ComputeBuf, KernelKind, N_COMPUTE_FORMATS,
+    make_compute_buf, potrf_tile, potrf_tile_ws, reference_gemm_tile, syrk_tile, syrk_tile_ws,
+    trsm_effective_precision, trsm_tile, trsm_tile_ws, ComputeBuf, KernelKind, N_COMPUTE_FORMATS,
 };
 pub use solve::{backward_solve_trans_tiled, forward_solve_tiled, spd_solve_tiled};
 pub use validate::{gemm_relative_error, max_rel_diff, reconstruction_error, tile_is_finite};

@@ -27,14 +27,23 @@
 //! the result with every consumer — the paper's single-time conversion
 //! (STC). Cached and locally-quantized operands are built by the same
 //! quantization routine, so STC never changes a single bit of the result.
+//!
+//! # FP16-class fast paths
+//!
+//! On CPUs with F16C ([`f16c::available`], detected once at run time),
+//! pure-FP16 GEMM runs the [`f16c`] register-blocked micro-kernel, and
+//! F32/F16-stored operands of FP16 / FP16_32 / BF16_32 are quantized with
+//! F16C or the bfloat16 bit trick. F64-stored operands keep the exact
+//! encoder. Every fast path is bit-identical to the scalar shim path, which
+//! stays as the fallback and as the oracle ([`reference_gemm_tile`]).
 
 use crate::blas;
+use crate::f16c;
 use crate::workspace::{with_thread_workspace, Workspace};
 use half::f16;
 use mixedp_fp::Precision;
 use mixedp_obs as obs;
 use mixedp_tile::{Tile, TileBuf};
-use rayon::prelude::*;
 
 /// The precision a TRSM actually executes in when the tile's kernel
 /// precision is `p` — FP16-class tiles fall back to FP32 (paper §V).
@@ -97,24 +106,72 @@ pub fn compute_format_index(p: Precision) -> Option<usize> {
 
 /// Quantize a tile through `p`'s input representation into an f32 buffer
 /// (every value of every format ≤ FP32 is exactly f32 representable).
-/// Single widening per element, no intermediate allocation.
-fn quantize_into(p: Precision, t: &Tile, out: &mut Vec<f32>) {
+/// Single widening per element, no intermediate allocation. With `simd`,
+/// F32- and F16-stored FP16_32 / BF16_32 operands take the bit-identical
+/// [`f16c`] paths; F64 sources always use the exact encoder.
+fn quantize_into(p: Precision, t: &Tile, out: &mut Vec<f32>, simd: bool) {
     out.clear();
-    match t.buf() {
-        TileBuf::F64(v) => out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x) as f32)),
-        TileBuf::F32(v) => out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x as f64) as f32)),
-        TileBuf::F16(v) => out.extend(v.iter().map(|x| mixedp_fp::quantize(p, x.to_f64()) as f32)),
+    match (t.buf(), p) {
+        (TileBuf::F32(v), Precision::Fp16x32) if simd => {
+            out.resize(v.len(), 0.0);
+            f16c::round_f16(v, out);
+        }
+        (TileBuf::F32(v), Precision::Bf16x32) if simd => {
+            out.extend(v.iter().map(|&x| f16c::round_bf16(x)))
+        }
+        (TileBuf::F16(v), Precision::Fp16x32 | Precision::Bf16x32) if simd => {
+            // Widening is exact, and binary16 values are already on the
+            // FP16_32 grid; bfloat16 then rounds once from the exact value.
+            out.resize(v.len(), 0.0);
+            f16c::f16_to_f32(v, out);
+            if p == Precision::Bf16x32 {
+                out.iter_mut().for_each(|x| *x = f16c::round_bf16(*x));
+            }
+        }
+        (TileBuf::F64(v), _) => out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x) as f32)),
+        (TileBuf::F32(v), _) => {
+            out.extend(v.iter().map(|&x| mixedp_fp::quantize(p, x as f64) as f32))
+        }
+        (TileBuf::F16(v), _) => {
+            out.extend(v.iter().map(|x| mixedp_fp::quantize(p, x.to_f64()) as f32))
+        }
     }
 }
 
 /// Read a tile as binary16 values (the FP16 GEMM input grid).
-fn f16_into(t: &Tile, out: &mut Vec<f16>) {
+fn f16_into(t: &Tile, out: &mut Vec<f16>, simd: bool) {
     out.clear();
     match t.buf() {
         TileBuf::F64(v) => out.extend(v.iter().map(|&x| f16::from_f64(x))),
-        TileBuf::F32(v) => out.extend(v.iter().map(|&x| f16::from_f64(x as f64))),
+        TileBuf::F32(v) if simd => {
+            out.resize(v.len(), f16::ZERO);
+            f16c::f32_to_f16(v, out);
+        }
+        TileBuf::F32(v) => out.extend(v.iter().map(|&x| f16::from_f32(x))),
         TileBuf::F16(v) => out.extend_from_slice(v),
     }
+}
+
+/// An FP16 GEMM operand as `f32` values on the binary16 grid, for the F16C
+/// micro-kernel: the producer's cached image widened when one is given,
+/// else the tile quantized here. Returns the conversions performed (0 or 1).
+fn f16_grid_into(t: &Tile, cached: Option<&ComputeBuf>, out: &mut Vec<f32>) -> usize {
+    out.clear();
+    out.resize(t.len(), 0.0);
+    match (cached, t.buf()) {
+        (Some(ComputeBuf::F16(v)), _) if v.len() == t.len() => {
+            f16c::f16_to_f32(v, out);
+            return 0;
+        }
+        (_, TileBuf::F64(v)) => {
+            for (d, &s) in out.iter_mut().zip(v) {
+                *d = f16::from_f64(s).to_f32();
+            }
+        }
+        (_, TileBuf::F32(v)) => f16c::round_f16(v, out),
+        (_, TileBuf::F16(v)) => f16c::f16_to_f32(v, out),
+    }
+    1
 }
 
 /// Build the compute-format image of `t` for kernel precision `p`
@@ -122,16 +179,17 @@ fn f16_into(t: &Tile, out: &mut Vec<f16>) {
 /// paths, so consuming a cached buffer is bit-identical to converting
 /// locally.
 pub fn make_compute_buf(p: Precision, t: &Tile) -> ComputeBuf {
+    let simd = f16c::available();
     match p {
         Precision::Fp64 => panic!("FP64 operands are consumed directly, not via ComputeBuf"),
         Precision::Fp16 => {
             let mut v = Vec::with_capacity(t.len());
-            f16_into(t, &mut v);
+            f16_into(t, &mut v, simd);
             ComputeBuf::F16(v)
         }
         _ => {
             let mut v = Vec::with_capacity(t.len());
-            quantize_into(p, t, &mut v);
+            quantize_into(p, t, &mut v, simd);
             ComputeBuf::F32(v)
         }
     }
@@ -306,9 +364,19 @@ pub fn gemm_tile_ws_cached(
     parallel: bool,
 ) -> usize {
     let sp = obs::span_start();
-    let converted = gemm_tile_ws_cached_inner(p, a, a_buf, b, b_buf, c, ws, parallel);
+    let simd = f16c::available();
+    let converted = gemm_tile_ws_cached_inner(p, a, a_buf, b, b_buf, c, ws, parallel, simd);
     obs::span_end(sp, obs::EventKind::KernelGemm, obs::kernel_arg(p, c.rows()));
     converted
+}
+
+/// [`gemm_tile`] on the scalar shim path only, never the F16C fast paths:
+/// the fallback on CPUs without F16C, and the oracle the fast paths are
+/// tested against bit for bit.
+pub fn reference_gemm_tile(p: Precision, a: &Tile, b: &Tile, c: &mut Tile) {
+    with_thread_workspace(|ws| {
+        gemm_tile_ws_cached_inner(p, a, None, b, None, c, ws, false, false);
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -321,6 +389,7 @@ fn gemm_tile_ws_cached_inner(
     c: &mut Tile,
     ws: &mut Workspace,
     parallel: bool,
+    simd: bool,
 ) -> usize {
     let m = c.rows();
     let n = c.cols();
@@ -347,23 +416,33 @@ fn gemm_tile_ws_cached_inner(
                 c.store_f64(cf);
             }
         }
+        Precision::Fp16 if simd => {
+            let af = ws.a32.load(|v| converted += f16_grid_into(a, a_buf, v));
+            let bf = ws.b32.load(|v| converted += f16_grid_into(b, b_buf, v));
+            let bp = ws.bt32.load(|v| f16c::pack_b_panels(bf, n, k, v));
+            let cf = ws.c32.load(|v| {
+                f16_grid_into(c, None, v);
+            });
+            f16c::gemm_f16(af, bp, cf, m, n, k);
+            c.write_f32(cf);
+        }
         Precision::Fp16 => {
             let af: &[f16] = match a_buf {
                 Some(ComputeBuf::F16(v)) if v.len() == m * k => v,
                 _ => {
                     converted += 1;
-                    ws.a16.load(|v| f16_into(a, v))
+                    ws.a16.load(|v| f16_into(a, v, false))
                 }
             };
             let bf: &[f16] = match b_buf {
                 Some(ComputeBuf::F16(v)) if v.len() == n * k => v,
                 _ => {
                     converted += 1;
-                    ws.b16.load(|v| f16_into(b, v))
+                    ws.b16.load(|v| f16_into(b, v, false))
                 }
             };
-            let cf = ws.c16.load(|v| f16_into(c, v));
-            gemm_f16_core(af, bf, cf, m, n, k, parallel);
+            let cf = ws.c16.load(|v| f16_into(c, v, false));
+            gemm_f16_core(af, bf, cf, m, n, k);
             let wide = ws.c64.load(|v| {
                 v.clear();
                 v.extend(cf.iter().map(|x| x.to_f64()));
@@ -377,14 +456,14 @@ fn gemm_tile_ws_cached_inner(
                 Some(ComputeBuf::F32(v)) if v.len() == m * k => v,
                 _ => {
                     converted += 1;
-                    ws.a32.load(|v| quantize_into(p, a, v))
+                    ws.a32.load(|v| quantize_into(p, a, v, simd))
                 }
             };
             let bf: &[f32] = match b_buf {
                 Some(ComputeBuf::F32(v)) if v.len() == n * k => v,
                 _ => {
                     converted += 1;
-                    ws.b32.load(|v| quantize_into(p, b, v))
+                    ws.b32.load(|v| quantize_into(p, b, v, simd))
                 }
             };
             let cf = ws.c32.load(|v| c.read_f32_into(v));
@@ -395,18 +474,11 @@ fn gemm_tile_ws_cached_inner(
     converted
 }
 
-/// Pure-FP16 GEMM core: binary16 inputs, binary16 multiply results,
-/// binary16 running accumulation — per-operation rounding via `half::f16`.
-fn gemm_f16_core(
-    af: &[f16],
-    bf: &[f16],
-    cf: &mut [f16],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: bool,
-) {
-    let body = |(i, crow): (usize, &mut [f16])| {
+/// Pure-FP16 GEMM core on the scalar shim: binary16 inputs, binary16
+/// multiply results, binary16 running accumulation — per-operation
+/// rounding via `half::f16`. The fallback and oracle of [`f16c::gemm_f16`].
+fn gemm_f16_core(af: &[f16], bf: &[f16], cf: &mut [f16], m: usize, n: usize, k: usize) {
+    for (i, crow) in cf.chunks_mut(n).enumerate().take(m) {
         let ai = &af[i * k..(i + 1) * k];
         for (j, cij) in crow.iter_mut().enumerate() {
             let bj = &bf[j * k..(j + 1) * k];
@@ -417,11 +489,6 @@ fn gemm_f16_core(
             }
             *cij = acc;
         }
-    };
-    if parallel && m >= 64 {
-        cf.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        cf.chunks_mut(n).enumerate().for_each(body);
     }
 }
 

@@ -85,6 +85,9 @@ pub struct Workspace {
     pub a16: TrackedBuf<f16>,
     pub b16: TrackedBuf<f16>,
     pub c16: TrackedBuf<f16>,
+    /// `B` packed into transposed 16-column panels for the F16C pure-FP16
+    /// GEMM micro-kernel.
+    pub bt32: TrackedBuf<f32>,
     /// Scratch for blocked POTRF's diagonal/panel staging.
     pub p64: TrackedBuf<f64>,
     /// Byte scratch for packed wire messages (fused convert-and-pack
@@ -105,6 +108,7 @@ impl Workspace {
             a16: TrackedBuf::new(),
             b16: TrackedBuf::new(),
             c16: TrackedBuf::new(),
+            bt32: TrackedBuf::new(),
             p64: TrackedBuf::new(),
             wire: TrackedBuf::new(),
         }
@@ -122,6 +126,7 @@ impl Workspace {
             + self.a16.grow_events()
             + self.b16.grow_events()
             + self.c16.grow_events()
+            + self.bt32.grow_events()
             + self.p64.grow_events()
             + self.wire.grow_events()
     }

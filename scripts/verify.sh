@@ -28,6 +28,10 @@ echo "== packed-wire property tests (release)"
 cargo test --offline -q --release -p mixedp-core --test wire_roundtrip
 cargo test --offline -q --release -p mixedp-core wire::
 
+echo "== F16C fast paths (release: full 2^32 conversion sweep, bit-identity proptests)"
+cargo test --offline -q --release -p mixedp-kernels --test f16c_conversions -- --include-ignored
+cargo test --offline -q --release -p mixedp-kernels --test prop_f16c
+
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== kernel perf snapshot (BENCH_kernels.json)"
     cargo run --offline --release -p mixedp-bench --bin bench_kernels

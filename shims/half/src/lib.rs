@@ -5,9 +5,11 @@
 //! to the target format (no intermediate `f32` step, which would double
 //! round), with gradual underflow to subnormals and overflow to ±∞ —
 //! matching both IEEE 754 and the hardware convert instructions the
-//! precision experiments model. Arithmetic on `f16` routes through `f64`:
-//! products and sums of binary16 values are exact in binary64, so the
-//! single rounding back to binary16 gives correctly-rounded results.
+//! precision experiments model. Decoding builds the `f32` bit pattern from
+//! the fields (exact for every value, NaN sign and payload kept). Arithmetic
+//! on `f16` routes through `f64`: products and sums of binary16 values are
+//! exact in binary64, so the single rounding back to binary16 gives
+//! correctly-rounded results.
 
 /// Round-to-nearest-even encode of a finite/inf/NaN `f64` into a small
 /// binary float with `E` exponent bits and `M` mantissa bits (E + M ≤ 15).
@@ -60,32 +62,36 @@ fn encode<const E: u32, const M: u32>(x: f64) -> u16 {
     sign | code as u16
 }
 
-/// Exact decode of an `E`/`M` binary float into `f64`.
+/// Exact decode of a binary16 bit pattern into binary32 bits, built from
+/// the fields alone (no arithmetic): every binary16 value, subnormals
+/// included, is a normal or zero binary32 value. Infinities and NaNs keep
+/// their sign and payload, as the hardware `vcvtph2ps` does.
 #[inline]
-fn decode<const E: u32, const M: u32>(bits: u16) -> f64 {
-    let sign = if bits >> (E + M) & 1 == 1 { -1.0 } else { 1.0 };
-    let exp_field = (bits >> M) as i64 & ((1i64 << E) - 1);
-    let man = (bits & ((1u16 << M) - 1)) as f64;
-    let bias_t: i64 = (1i64 << (E - 1)) - 1;
-    let max_exp_field: i64 = (1i64 << E) - 1;
-    if exp_field == max_exp_field {
-        return if man == 0.0 {
-            sign * f64::INFINITY
-        } else {
-            f64::NAN
-        };
-    }
-    let scale = (2.0f64).powi(-(M as i32));
-    if exp_field == 0 {
-        // Subnormal: 0.man × 2^emin
-        sign * man * scale * (2.0f64).powi((1 - bias_t) as i32)
-    } else {
-        sign * (1.0 + man * scale) * (2.0f64).powi((exp_field - bias_t) as i32)
+fn f16_to_f32_bits(h: u16) -> u32 {
+    let sign = ((h & 0x8000) as u32) << 16;
+    let exp = ((h >> 10) & 0x1F) as u32;
+    let man = (h & 0x3FF) as u32;
+    match exp {
+        0x1F => sign | 0x7F80_0000 | (man << 13),
+        0 if man == 0 => sign,
+        0 => {
+            // man × 2^-24 with the leading one at bit `top`: renormalize.
+            let top = 31 - man.leading_zeros();
+            sign | ((top + 103) << 23) | ((man << (23 - top)) & 0x7F_FFFF)
+        }
+        _ => sign | ((exp + 112) << 23) | (man << 13),
     }
 }
 
+/// Exact decode of a bfloat16 bit pattern: bfloat16 is the upper half of
+/// a binary32 word.
+#[inline]
+fn bf16_to_f32_bits(h: u16) -> u32 {
+    (h as u32) << 16
+}
+
 macro_rules! half_type {
-    ($(#[$doc:meta])* $name:ident, $e:expr, $m:expr) => {
+    ($(#[$doc:meta])* $name:ident, $e:expr, $m:expr, $to_f32_bits:ident) => {
         $(#[$doc])*
         #[allow(non_camel_case_types)]
         #[derive(Clone, Copy, Default, PartialEq, PartialOrd)]
@@ -95,6 +101,8 @@ macro_rules! half_type {
         impl $name {
             pub const ZERO: Self = Self(0);
             pub const ONE: Self = Self(((1u16 << ($e - 1)) - 1) << $m);
+            const INF_BITS: u16 = ((1u16 << $e) - 1) << $m;
+            const MAGNITUDE: u16 = !(1u16 << ($e + $m));
 
             #[inline]
             pub fn from_f64(x: f64) -> Self {
@@ -109,13 +117,13 @@ macro_rules! half_type {
 
             #[inline]
             pub fn to_f64(self) -> f64 {
-                decode::<$e, $m>(self.0)
+                self.to_f32() as f64
             }
 
             #[inline]
             pub fn to_f32(self) -> f32 {
                 // Every value of this format is exactly representable in f32.
-                self.to_f64() as f32
+                f32::from_bits($to_f32_bits(self.0))
             }
 
             #[inline]
@@ -130,12 +138,12 @@ macro_rules! half_type {
 
             #[inline]
             pub fn is_nan(self) -> bool {
-                self.to_f64().is_nan()
+                self.0 & Self::MAGNITUDE > Self::INF_BITS
             }
 
             #[inline]
             pub fn is_infinite(self) -> bool {
-                self.to_f64().is_infinite()
+                self.0 & Self::MAGNITUDE == Self::INF_BITS
             }
         }
 
@@ -197,11 +205,11 @@ macro_rules! half_type {
 
 half_type!(
     /// IEEE 754 binary16: 5 exponent bits, 10 mantissa bits.
-    f16, 5, 10
+    f16, 5, 10, f16_to_f32_bits
 );
 half_type!(
     /// bfloat16: 8 exponent bits, 7 mantissa bits (f32's exponent range).
-    bf16, 8, 7
+    bf16, 8, 7, bf16_to_f32_bits
 );
 
 #[cfg(test)]
@@ -282,6 +290,66 @@ mod tests {
         assert!(f16::from_f64(f64::NAN).is_nan());
         assert!(bf16::from_f64(f64::NAN).is_nan());
         assert_eq!((-f16::from_f64(1.5)).to_f64(), -1.5);
+    }
+
+    /// The arithmetic decode formula the bit construction replaced, kept
+    /// as the oracle. It returns the positive default NaN for every NaN.
+    fn decode_by_formula<const E: u32, const M: u32>(bits: u16) -> f64 {
+        let sign = if bits >> (E + M) & 1 == 1 { -1.0 } else { 1.0 };
+        let exp_field = (bits >> M) as i64 & ((1i64 << E) - 1);
+        let man = (bits & ((1u16 << M) - 1)) as f64;
+        let bias_t: i64 = (1i64 << (E - 1)) - 1;
+        let max_exp_field: i64 = (1i64 << E) - 1;
+        if exp_field == max_exp_field {
+            return if man == 0.0 {
+                sign * f64::INFINITY
+            } else {
+                f64::NAN
+            };
+        }
+        let scale = (2.0f64).powi(-(M as i32));
+        if exp_field == 0 {
+            sign * man * scale * (2.0f64).powi((1 - bias_t) as i32)
+        } else {
+            sign * (1.0 + man * scale) * (2.0f64).powi((exp_field - bias_t) as i32)
+        }
+    }
+
+    /// Every bit pattern of both formats decodes to exactly the oracle's
+    /// value (same f64 bits, so signed zeros too). NaN patterns must decode
+    /// to a NaN; the bit construction also keeps the sign, which the
+    /// oracle drops.
+    #[test]
+    fn decode_matches_formula_exhaustively() {
+        for bits in 0..=u16::MAX {
+            let sign_set = bits & 0x8000 != 0;
+            for (got, got32, want, nan, inf) in [
+                (
+                    f16::from_bits(bits).to_f64(),
+                    f16::from_bits(bits).to_f32(),
+                    decode_by_formula::<5, 10>(bits),
+                    f16::from_bits(bits).is_nan(),
+                    f16::from_bits(bits).is_infinite(),
+                ),
+                (
+                    bf16::from_bits(bits).to_f64(),
+                    bf16::from_bits(bits).to_f32(),
+                    decode_by_formula::<8, 7>(bits),
+                    bf16::from_bits(bits).is_nan(),
+                    bf16::from_bits(bits).is_infinite(),
+                ),
+            ] {
+                assert_eq!(got.to_bits(), (got32 as f64).to_bits(), "{bits:#06x}");
+                assert_eq!(nan, want.is_nan(), "{bits:#06x}");
+                assert_eq!(inf, want.is_infinite(), "{bits:#06x}");
+                if want.is_nan() {
+                    assert!(got.is_nan(), "{bits:#06x}");
+                    assert_eq!(got.is_sign_negative(), sign_set, "{bits:#06x}");
+                } else {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{bits:#06x}");
+                }
+            }
+        }
     }
 
     #[test]
