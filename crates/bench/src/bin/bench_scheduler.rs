@@ -1,23 +1,25 @@
 //! Scheduler performance snapshot: emits `BENCH_scheduler.json` so changes
-//! to the task runtime can be tracked against the single-heap baseline it
-//! replaced.
+//! to the task runtime can be tracked run to run.
 //!
 //! Measures:
-//!   * dispatch overhead (ns/task) on empty-body DAGs at 8 workers — the
-//!     work-stealing scheduler vs `execute_parallel_heap_baseline` (the
-//!     retained pre-work-stealing executor), on both a flat 1-deep graph
-//!     (pure queue contention) and the Cholesky DAG (dependency release
-//!     traffic);
+//!   * dispatch overhead (ns/task) of `execute` on empty-body DAGs at 8
+//!     workers, on both a flat 1-deep graph (pure queue contention) and the
+//!     Cholesky DAG (dependency release traffic);
 //!   * worker occupancy on the Cholesky DAG at `nt ∈ {8, 16, 32}` with
 //!     synthetic task durations proportional to the kernel cost weights,
 //!     plus the steal / park / wake / affinity counters of the run.
 //!
-//! Occupancy is compared old-vs-new at `min(workers, host CPUs)` workers:
-//! with more threads than cores, the span clock measures how often the OS
-//! preempts a thread mid-task (the baseline's `notify_all` herd keeps all
-//! threads mid-span and *looks* busier while finishing no sooner), not how
-//! well the scheduler feeds workers. The counters still come from the full
-//! `--workers` run, where stealing is actually exercised.
+//! Occupancy comes from the telemetry span stream (`obs::collect` +
+//! `obs::occupancy_timeline`) of a run at `min(workers, host CPUs)`
+//! workers: with more threads than cores, the span clock measures how often
+//! the OS preempts a thread mid-task, not how well the scheduler feeds
+//! workers. The counters still come from the full `--workers` run, where
+//! stealing is actually exercised.
+//!
+//! Top-level `"retired_*"` entries of the previous snapshot hold the frozen
+//! last figures of removed code paths (e.g. the single-heap executor the
+//! work-stealing scheduler replaced); each run carries them forward
+//! verbatim.
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_scheduler`
 //! Options: `--workers=8 --reps=5 --quick --out=BENCH_scheduler.json`
@@ -26,47 +28,59 @@ use mixedp_bench::timing::{median_secs, min_secs, scan_json_f64, spin};
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_obs as obs;
-use mixedp_runtime::{execute_parallel, execute_parallel_heap_baseline, ExecutionTrace, TaskGraph};
+use mixedp_runtime::{execute, ExecOptions, ExecStats, TaskGraph, TaskId};
 
-struct DispatchResult {
-    tasks: usize,
-    ns_worksteal: f64,
-    ns_baseline: f64,
-}
+/// Occupancy-timeline bins for the occupancy measurement.
+const OCCUPANCY_BINS: usize = 64;
 
-/// Time both executors over an empty-body graph: all measured time is
-/// scheduler overhead (queue ops, dependency release, wake-ups).
-fn dispatch_overhead(graph: &TaskGraph, workers: usize, reps: usize) -> DispatchResult {
-    let n = graph.len();
-    let t_ws = median_secs(reps, || {
-        execute_parallel(graph, workers, |_| {}).unwrap();
-    });
-    let t_heap = median_secs(reps, || {
-        execute_parallel_heap_baseline(graph, workers, |_| {}).unwrap();
-    });
-    DispatchResult {
-        tasks: n,
-        ns_worksteal: t_ws * 1e9 / n as f64,
-        ns_baseline: t_heap * 1e9 / n as f64,
-    }
-}
-
-fn json_dispatch(r: &DispatchResult) -> String {
-    format!(
-        "{{\"tasks\": {}, \"ns_per_task_worksteal\": {:.1}, \"ns_per_task_heap_baseline\": {:.1}, \"speedup\": {:.3}}}",
-        r.tasks,
-        r.ns_worksteal,
-        r.ns_baseline,
-        r.ns_baseline / r.ns_worksteal
+fn run(graph: &TaskGraph, workers: usize, body: impl Fn(TaskId) + Sync) -> ExecStats {
+    execute(
+        graph,
+        workers,
+        |_| (),
+        |(), id| body(id),
+        &ExecOptions::default(),
     )
+    .unwrap()
+}
+
+/// Median ns/task of an empty-body run: all measured time is scheduler
+/// overhead (queue ops, dependency release, wake-ups).
+fn dispatch_ns(graph: &TaskGraph, workers: usize, reps: usize) -> f64 {
+    median_secs(reps, || {
+        run(graph, workers, |_| {});
+    }) * 1e9
+        / graph.len() as f64
+}
+
+/// Mean occupancy of a traced run, from the span stream. A first traced
+/// run fills the telemetry ring pool, so ring allocation stays out of the
+/// measured run.
+fn traced_occupancy(graph: &TaskGraph, workers: usize, body: impl Fn(TaskId) + Sync) -> f64 {
+    obs::set_enabled(true);
+    run(graph, workers, &body);
+    obs::collect();
+    run(graph, workers, &body);
+    obs::set_enabled(false);
+    let trace = obs::collect();
+    obs::occupancy_timeline(&trace, OCCUPANCY_BINS, workers).mean()
+}
+
+/// The `"retired_*"` entries of a snapshot written by this binary (one
+/// entry per line), without their trailing commas.
+fn retired_entries(json: &str) -> Vec<&str> {
+    json.lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("\"retired_"))
+        .map(|l| l.trim_end_matches(','))
+        .collect()
 }
 
 struct OccupancyResult {
     nt: usize,
     tasks: usize,
     occupancy: f64,
-    occupancy_baseline: f64,
-    trace: ExecutionTrace,
+    stats: ExecStats,
 }
 
 fn main() {
@@ -89,16 +103,12 @@ fn main() {
     for _ in 0..flat_tasks {
         flat.add_task(vec![], 0);
     }
-    let flat_r = dispatch_overhead(&flat, workers, reps);
-    let s = execute_parallel(&flat, workers, |_| {})
-        .unwrap()
-        .total_stats();
+    let flat_ns = dispatch_ns(&flat, workers, reps);
+    let s = run(&flat, workers, |_| {}).total();
     println!(
-        "flat {:>6} tasks   worksteal {:>8.1} ns/task   heap baseline {:>8.1} ns/task   ({:.2}x)   steals {} (tasks {}) failed {} parks {}",
-        flat_r.tasks,
-        flat_r.ns_worksteal,
-        flat_r.ns_baseline,
-        flat_r.ns_baseline / flat_r.ns_worksteal,
+        "flat {:>6} tasks   {:>8.1} ns/task   steals {} (tasks {}) failed {} parks {}",
+        flat.len(),
+        flat_ns,
         s.steals,
         s.stolen_tasks,
         s.failed_steals,
@@ -108,13 +118,11 @@ fn main() {
     // --- dispatch overhead: Cholesky DAG (dependency release traffic) ----
     let chol_nt = args.get_usize("dispatch-nt", 24);
     let dag = build_dag(chol_nt);
-    let chol_r = dispatch_overhead(&dag.graph, workers, reps);
+    let chol_ns = dispatch_ns(&dag.graph, workers, reps);
     println!(
-        "chol nt={chol_nt} {:>5} tasks   worksteal {:>8.1} ns/task   heap baseline {:>8.1} ns/task   ({:.2}x)",
-        chol_r.tasks,
-        chol_r.ns_worksteal,
-        chol_r.ns_baseline,
-        chol_r.ns_baseline / chol_r.ns_worksteal
+        "chol nt={chol_nt} {:>5} tasks   {:>8.1} ns/task",
+        dag.graph.len(),
+        chol_ns
     );
 
     // --- fault-tolerance wrapper overhead vs the committed snapshot ------
@@ -127,18 +135,17 @@ fn main() {
         // only comparable against a same-config snapshot: quick vs full
         // differ in task counts and unit durations
         if !b.contains(&format!("\"quick\": {quick}"))
-            || !b.contains(&format!("\"tasks\": {}", flat_r.tasks))
+            || !b.contains(&format!("\"tasks\": {}", flat.len()))
         {
             println!("ft wrapper overhead: committed {out} used a different config; skipping");
             return None;
         }
         let flat_base = scan_json_f64(b, "flat", "ns_per_task_worksteal")?;
         let chol_base = scan_json_f64(b, "cholesky_dispatch", "ns_per_task_worksteal")?;
-        let flat_pct = 100.0 * (flat_r.ns_worksteal - flat_base) / flat_base;
-        let chol_pct = 100.0 * (chol_r.ns_worksteal - chol_base) / chol_base;
+        let flat_pct = 100.0 * (flat_ns - flat_base) / flat_base;
+        let chol_pct = 100.0 * (chol_ns - chol_base) / chol_base;
         println!(
-            "ft wrapper overhead vs committed {out}: flat {flat_pct:+.2}% ({flat_base:.1} -> {:.1} ns/task), chol {chol_pct:+.2}% ({chol_base:.1} -> {:.1} ns/task)",
-            flat_r.ns_worksteal, chol_r.ns_worksteal
+            "ft wrapper overhead vs committed {out}: flat {flat_pct:+.2}% ({flat_base:.1} -> {flat_ns:.1} ns/task), chol {chol_pct:+.2}% ({chol_base:.1} -> {chol_ns:.1} ns/task)"
         );
         Some((flat_base, flat_pct, chol_base, chol_pct))
     });
@@ -149,21 +156,14 @@ fn main() {
     // both states on the same graphs so the instrumentation cost is
     // tracked in the JSON alongside the dispatch numbers.
     obs::set_enabled(true);
-    let flat_on = median_secs(reps, || {
-        execute_parallel(&flat, workers, |_| {}).unwrap();
-    }) * 1e9
-        / flat_r.tasks as f64;
-    let chol_on = median_secs(reps, || {
-        execute_parallel(&dag.graph, workers, |_| {}).unwrap();
-    }) * 1e9
-        / chol_r.tasks as f64;
+    let flat_on = dispatch_ns(&flat, workers, reps);
+    let chol_on = dispatch_ns(&dag.graph, workers, reps);
     obs::set_enabled(false);
     obs::reset_rings();
-    let flat_tele_pct = 100.0 * (flat_on - flat_r.ns_worksteal) / flat_r.ns_worksteal;
-    let chol_tele_pct = 100.0 * (chol_on - chol_r.ns_worksteal) / chol_r.ns_worksteal;
+    let flat_tele_pct = 100.0 * (flat_on - flat_ns) / flat_ns;
+    let chol_tele_pct = 100.0 * (chol_on - chol_ns) / chol_ns;
     println!(
-        "telemetry on/off: flat {:.1} -> {:.1} ns/task ({flat_tele_pct:+.2}%), chol {:.1} -> {:.1} ns/task ({chol_tele_pct:+.2}%)",
-        flat_r.ns_worksteal, flat_on, chol_r.ns_worksteal, chol_on
+        "telemetry on/off: flat {flat_ns:.1} -> {flat_on:.1} ns/task ({flat_tele_pct:+.2}%), chol {chol_ns:.1} -> {chol_on:.1} ns/task ({chol_tele_pct:+.2}%)"
     );
     // Cost-weighted bodies: one ring store amortized over kernel-scale
     // work — the realistic overhead, and the number the <2% acceptance
@@ -182,12 +182,12 @@ fn main() {
     let wn = wdag.graph.len() as f64;
     let w_reps = reps.max(9); // min-of-N wants enough samples to hit the floor
     let w_off = min_secs(w_reps, || {
-        execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
+        run(&wdag.graph, occ_workers, |id| spin(wcosts[id]));
     }) * 1e9
         / wn;
     obs::set_enabled(true);
     let w_on = min_secs(w_reps, || {
-        execute_parallel(&wdag.graph, occ_workers, |id| spin(wcosts[id])).unwrap();
+        run(&wdag.graph, occ_workers, |id| spin(wcosts[id]));
     }) * 1e9
         / wn;
     obs::set_enabled(false);
@@ -207,21 +207,15 @@ fn main() {
             .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
             .collect();
         // counters from the full --workers run (stealing exercised) ...
-        execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-        let trace = execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-        // ... occupancy comparison at <= one worker per core
-        let occ = execute_parallel(&dag.graph, occ_workers, |id| spin(costs[id]))
-            .unwrap()
-            .occupancy();
-        let base = execute_parallel_heap_baseline(&dag.graph, occ_workers, |id| spin(costs[id]))
-            .unwrap()
-            .occupancy();
-        let s = trace.total_stats();
+        run(&dag.graph, workers, |id| spin(costs[id]));
+        let stats = run(&dag.graph, workers, |id| spin(costs[id]));
+        // ... occupancy at <= one worker per core
+        let occ = traced_occupancy(&dag.graph, occ_workers, |id| spin(costs[id]));
+        let s = stats.total();
         println!(
-            "occupancy nt={nt:<3} {:>5} tasks   {:>5.1}% (baseline {:>5.1}%, {occ_workers} workers)   steals {:>5} (tasks {:>5})   parks {:>4}   wakes {:>4}   affinity {:>5}",
+            "occupancy nt={nt:<3} {:>5} tasks   {:>5.1}% ({occ_workers} workers)   steals {:>5} (tasks {:>5})   parks {:>4}   wakes {:>4}   affinity {:>5}",
             dag.graph.len(),
             100.0 * occ,
-            100.0 * base,
             s.steals,
             s.stolen_tasks,
             s.parks,
@@ -232,8 +226,7 @@ fn main() {
             nt,
             tasks: dag.graph.len(),
             occupancy: occ,
-            occupancy_baseline: base,
-            trace,
+            stats,
         });
     }
 
@@ -242,33 +235,31 @@ fn main() {
     json.push_str(&format!(
         "  \"workers\": {workers},\n  \"host_cpus\": {host_cpus},\n  \"occupancy_workers\": {occ_workers},\n  \"reps\": {reps},\n  \"quick\": {quick},\n  \"unit_ns\": {unit_ns},\n"
     ));
-    json.push_str(&format!("  \"flat\": {},\n", json_dispatch(&flat_r)));
     json.push_str(&format!(
-        "  \"cholesky_dispatch\": {{\"nt\": {chol_nt}, {}}},\n",
-        json_dispatch(&chol_r)
-            .trim_start_matches('{')
-            .trim_end_matches('}')
+        "  \"flat\": {{\"tasks\": {}, \"ns_per_task_worksteal\": {flat_ns:.1}}},\n",
+        flat.len()
+    ));
+    json.push_str(&format!(
+        "  \"cholesky_dispatch\": {{\"nt\": {chol_nt}, \"tasks\": {}, \"ns_per_task_worksteal\": {chol_ns:.1}}},\n",
+        dag.graph.len()
     ));
     if let Some((flat_base, flat_pct, chol_base, chol_pct)) = ft_overhead {
         json.push_str(&format!(
-            "  \"ft_overhead_vs_committed\": {{\"flat_baseline_ns\": {flat_base:.1}, \"flat_ns\": {:.1}, \"flat_pct\": {flat_pct:.2}, \"chol_baseline_ns\": {chol_base:.1}, \"chol_ns\": {:.1}, \"chol_pct\": {chol_pct:.2}}},\n",
-            flat_r.ns_worksteal, chol_r.ns_worksteal
+            "  \"ft_overhead_vs_committed\": {{\"flat_baseline_ns\": {flat_base:.1}, \"flat_ns\": {flat_ns:.1}, \"flat_pct\": {flat_pct:.2}, \"chol_baseline_ns\": {chol_base:.1}, \"chol_ns\": {chol_ns:.1}, \"chol_pct\": {chol_pct:.2}}},\n"
         ));
     }
     json.push_str(&format!(
-        "  \"telemetry\": {{\"flat_ns_off\": {:.1}, \"flat_ns_on\": {flat_on:.1}, \"flat_pct\": {flat_tele_pct:.2}, \"chol_ns_off\": {:.1}, \"chol_ns_on\": {chol_on:.1}, \"chol_pct\": {chol_tele_pct:.2}, \"weighted_ns_off\": {w_off:.1}, \"weighted_ns_on\": {w_on:.1}, \"weighted_pct\": {w_pct:.2}}},\n",
-        flat_r.ns_worksteal, chol_r.ns_worksteal
+        "  \"telemetry\": {{\"flat_ns_off\": {flat_ns:.1}, \"flat_ns_on\": {flat_on:.1}, \"flat_pct\": {flat_tele_pct:.2}, \"chol_ns_off\": {chol_ns:.1}, \"chol_ns_on\": {chol_on:.1}, \"chol_pct\": {chol_tele_pct:.2}, \"weighted_ns_off\": {w_off:.1}, \"weighted_ns_on\": {w_on:.1}, \"weighted_pct\": {w_pct:.2}}},\n"
     ));
     json.push_str("  \"occupancy\": [\n");
     for (i, r) in occ_results.iter().enumerate() {
-        let s = r.trace.total_stats();
+        let s = r.stats.total();
         let comma = if i + 1 == occ_results.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"nt\": {}, \"tasks\": {}, \"occupancy\": {:.4}, \"occupancy_heap_baseline\": {:.4}, \"steals\": {}, \"stolen_tasks\": {}, \"failed_steals\": {}, \"local_pops\": {}, \"parks\": {}, \"wakes\": {}, \"affinity_dispatches\": {}}}{}\n",
+            "    {{\"nt\": {}, \"tasks\": {}, \"occupancy\": {:.4}, \"steals\": {}, \"stolen_tasks\": {}, \"failed_steals\": {}, \"local_pops\": {}, \"parks\": {}, \"wakes\": {}, \"affinity_dispatches\": {}}}{}\n",
             r.nt,
             r.tasks,
             r.occupancy,
-            r.occupancy_baseline,
             s.steals,
             s.stolen_tasks,
             s.failed_steals,
@@ -279,7 +270,15 @@ fn main() {
             comma
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ]");
+    for entry in committed
+        .as_deref()
+        .map(retired_entries)
+        .unwrap_or_default()
+    {
+        json.push_str(&format!(",\n  {entry}"));
+    }
+    json.push_str("\n}\n");
     std::fs::write(&out, json).expect("write BENCH_scheduler.json");
     println!("wrote {out}");
 }

@@ -7,7 +7,7 @@
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, CholeskyTask};
 use mixedp_obs as obs;
-use mixedp_runtime::execute_parallel;
+use mixedp_runtime::{execute, ExecOptions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn name(t: &CholeskyTask) -> String {
@@ -63,36 +63,44 @@ fn main() {
     // Asynchronous execution demo: tasks of iteration k+1 can start before
     // iteration k has fully drained (PaRSEC's asynchrony, §III-B). The
     // Gantt comes straight from the telemetry span stream.
+    let workers = 4;
     obs::set_enabled(true);
     let max_started_iter_while_k0_running = AtomicUsize::new(0);
     let k0_running = AtomicUsize::new(0);
-    let trace = execute_parallel(&dag.graph, 4, |id| {
-        let it = iteration(&dag.tasks[id]);
-        if it == 0 {
-            k0_running.fetch_add(1, Ordering::SeqCst);
-        } else {
-            // record the deepest iteration started while k=0 work remains
-            max_started_iter_while_k0_running.fetch_max(it, Ordering::SeqCst);
-        }
-        // emulate kernel work
-        let mut acc = 0u64;
-        for i in 0..200_000u64 {
-            acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
-        }
-        std::hint::black_box(acc);
-    })
+    let stats = execute(
+        &dag.graph,
+        workers,
+        |_| (),
+        |(), id| {
+            let it = iteration(&dag.tasks[id]);
+            if it == 0 {
+                k0_running.fetch_add(1, Ordering::SeqCst);
+            } else {
+                // record the deepest iteration started while k=0 work remains
+                max_started_iter_while_k0_running.fetch_max(it, Ordering::SeqCst);
+            }
+            // emulate kernel work
+            let mut acc = 0u64;
+            for i in 0..200_000u64 {
+                acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
+            }
+            std::hint::black_box(acc);
+        },
+        &ExecOptions::default(),
+    )
     .unwrap();
+    obs::set_enabled(false);
+    let spans = obs::collect();
+    let occ = obs::occupancy_timeline(&spans, 64, workers);
     println!(
-        "\nasynchronous run on 4 workers: makespan {:.3} ms, occupancy {:.0}%",
-        trace.makespan_ns() as f64 / 1e6,
-        trace.occupancy() * 100.0
+        "\nasynchronous run on {workers} workers: makespan {:.3} ms, occupancy {:.0}%",
+        occ.bin_ns * occ.aggregate.len() as f64 / 1e6,
+        occ.mean() * 100.0
     );
     println!("(tasks fired as dependencies were satisfied — no iteration barriers)\n");
-    let spans = obs::collect();
-    obs::set_enabled(false);
     println!("Gantt (task-id mod 10 per slot; '·' idle):");
     print!(
         "{}",
-        mixedp_runtime::render_gantt_with_stats(&spans, trace.worker_stats(), 72)
+        mixedp_runtime::render_gantt_with_stats(&spans, &stats.workers, 72)
     );
 }

@@ -32,7 +32,7 @@ use mixedp_core::{
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_obs as obs;
-use mixedp_runtime::execute_parallel;
+use mixedp_runtime::{execute, ExecOptions};
 use mixedp_tile::{Grid2d, SymmTileMatrix};
 
 fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
@@ -60,13 +60,19 @@ fn weighted_overhead_pct(workers: usize, reps: usize, unit_ns: u64) -> f64 {
         .iter()
         .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
         .collect();
-    let t_off = min_secs(reps, || {
-        execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-    });
+    let run = || {
+        execute(
+            &dag.graph,
+            workers,
+            |_| (),
+            |(), id| spin(costs[id]),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+    };
+    let t_off = min_secs(reps, run);
     obs::set_enabled(true);
-    let t_on = min_secs(reps, || {
-        execute_parallel(&dag.graph, workers, |id| spin(costs[id])).unwrap();
-    });
+    let t_on = min_secs(reps, run);
     obs::set_enabled(false);
     obs::reset_rings();
     100.0 * (t_on - t_off) / t_off

@@ -18,8 +18,7 @@ use mixedp_kernels::{
 };
 use mixedp_obs as obs;
 use mixedp_runtime::{
-    execute_parallel_ctx_opts, execute_serial_ctx_opts, ExecOptions, ExecuteError, FaultPlan,
-    RetryPolicy, TaskGraph, TaskId, WorkerStats,
+    execute, ExecOptions, ExecuteError, FaultPlan, RetryPolicy, TaskGraph, TaskId, WorkerStats,
 };
 use mixedp_tile::{SymmTileMatrix, Tile};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -219,9 +218,8 @@ pub struct FactorStats {
     /// bounded retry policy (recovered task-level faults).
     pub task_retries: u64,
     /// Per-worker scheduler counters of the nested executor, accumulated
-    /// elementwise across all factorization attempts (empty for serial
-    /// runs). Previously only `retries` survived the `run_attempt`
-    /// boundary; the full dispatch picture now carries through.
+    /// elementwise across all factorization attempts: one entry per
+    /// scheduler worker, so a serial (`nthreads <= 1`) run has exactly one.
     pub sched_per_worker: Vec<WorkerStats>,
     /// Sum of `sched_per_worker` — the run's scheduler totals.
     pub sched_totals: WorkerStats,
@@ -360,7 +358,7 @@ impl std::error::Error for FactorError {}
 /// Configuration of the fault-tolerant factorization driver.
 #[derive(Debug, Clone)]
 pub struct FactorOptions {
-    /// DAG workers (1 = the deterministic serial scheduler).
+    /// DAG workers (1 = the deterministic one-worker order).
     pub nthreads: usize,
     /// Maximum recovery restarts (precision escalations plus transient
     /// corruption re-runs) before giving up with
@@ -406,8 +404,8 @@ impl FactorOptions {
     }
 }
 
-/// Factor `a` in place under `pmap` using `nthreads` workers (1 = the
-/// deterministic serial scheduler). Returns stats; the matrix holds `L`
+/// Factor `a` in place under `pmap` using `nthreads` workers (1, or 0, =
+/// the scheduler's deterministic one-worker order). Returns stats; the matrix holds `L`
 /// tile-wise (each tile in its storage precision) on success.
 ///
 /// # Data path
@@ -570,7 +568,7 @@ struct AttemptOutcome {
     conv_avoided: u64,
     conv_bytes_avoided: u64,
     task_retries: u64,
-    /// Per-worker counters of the nested executor (empty for serial runs).
+    /// Per-worker counters of the nested executor.
     /// Before these were carried, everything except `retries` was dropped
     /// at this boundary — steals/parks/wakes of the inner scheduler were
     /// invisible to callers.
@@ -646,7 +644,7 @@ fn run_attempt(
     let conv_bytes_avoided = AtomicU64::new(0);
 
     // With several DAG workers the kernels run sequentially (no nested
-    // rayon); the serial scheduler lets kernels use internal parallelism.
+    // rayon); a single DAG worker lets kernels use internal parallelism.
     let kernel_par = nthreads <= 1;
 
     let release_reader = |ti: usize| {
@@ -797,23 +795,16 @@ fn run_attempt(
         },
         ExecuteError::WorkerPanicked => FactorError::WorkerPanicked,
     };
-    let (task_retries, sched_stats) = if nthreads <= 1 {
-        let mut ws = Workspace::new();
-        let (_, rt_failures) =
-            execute_serial_ctx_opts(&dag.graph, &mut ws, |ws, id| run_task(ws, id), &exec_opts)
-                .map_err(map_exec_err)?;
-        (rt_failures.len() as u64, Vec::new())
-    } else {
-        let trace = execute_parallel_ctx_opts(
-            &dag.graph,
-            nthreads,
-            |_wid| Workspace::new(),
-            |ws, id| run_task(ws, id),
-            &exec_opts,
-        )
-        .map_err(map_exec_err)?;
-        (trace.total_stats().retries, trace.worker_stats().to_vec())
-    };
+    let stats = execute(
+        &dag.graph,
+        nthreads,
+        |_wid| Workspace::new(),
+        |ws, id| run_task(ws, id),
+        &exec_opts,
+    )
+    .map_err(map_exec_err)?;
+    let task_retries = stats.total().retries;
+    let sched_stats = stats.workers;
 
     let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
     failures.sort_by_key(|&(id, _)| id);

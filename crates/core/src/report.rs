@@ -23,7 +23,7 @@ pub struct RunReport {
     pub version: u64,
     /// Caller-chosen run label.
     pub label: String,
-    /// Worker threads of the run (0 = unknown/serial).
+    /// Worker threads of the run (0 = unknown); the occupancy denominator.
     pub threads: usize,
     /// Wall-clock seconds of the run.
     pub wall_s: f64,
@@ -59,7 +59,7 @@ impl RunReport {
             wall_s,
             dropped_records: trace.dropped,
             metrics: obs::metrics::snapshot(),
-            occupancy: obs::occupancy_timeline(trace, RUN_REPORT_OCCUPANCY_BINS),
+            occupancy: obs::occupancy_timeline(trace, RUN_REPORT_OCCUPANCY_BINS, threads),
             energy: obs::account_energy(&node, trace, motion, wall_s),
             sched_per_worker,
         }

@@ -7,8 +7,8 @@
 //!    produce a schema-valid v1 `RunReport` with live occupancy, energy,
 //!    and registry counters;
 //! 3. **scheduler counter merge** — the per-worker counters of the nested
-//!    parallel executor survive into `FactorStats` (the totals are the
-//!    elementwise sum, and the task count matches the DAG).
+//!    executor survive into `FactorStats` (the totals are the elementwise
+//!    sum, and the task count matches the DAG, serial runs included).
 //!
 //! Every test holds [`obs::test_guard`] — the enable flag, the ring
 //! registry, and the metric registry are process-global.
@@ -134,9 +134,9 @@ fn nested_scheduler_counters_survive_into_factor_stats() {
     let steals: u64 = stats.sched_per_worker.iter().map(|w| w.steals).sum();
     assert_eq!(steals, stats.sched_totals.steals);
 
-    // serial: no nested scheduler, so no per-worker rows and zero totals
+    // serial: one scheduler worker that ran every task
     let mut a = a0.clone();
     let stats = factorize_mp(&mut a, &m, 1).expect("serial factorization");
-    assert!(stats.sched_per_worker.is_empty());
-    assert_eq!(stats.sched_totals.tasks, 0);
+    assert_eq!(stats.sched_per_worker.len(), 1);
+    assert_eq!(stats.sched_totals.tasks as usize, stats.tasks_run);
 }

@@ -16,13 +16,12 @@
 use crate::covariance::{covariance_entry, CovarianceModel};
 use crate::locations::Location;
 use mixedp_fp::StoragePrecision;
-use mixedp_runtime::{execute_parallel, execute_serial, TaskGraph};
+use mixedp_runtime::{execute, ExecOptions, TaskGraph};
 use mixedp_tile::{SymmTileMatrix, Tile};
 use std::sync::Mutex;
 
 /// Build the covariance matrix `Σ(θ)` in FP64 tiles of size `nb`, filling
-/// tiles over `nthreads` workers of the task runtime (`nthreads <= 1` uses
-/// the deterministic serial executor). Bit-identical to
+/// tiles over `nthreads` workers of the task runtime (0 means one). Bit-identical to
 /// [`SymmTileMatrix::from_fn`] with [`covariance_entry`] at any thread
 /// count.
 pub fn covariance_tiles(
@@ -48,7 +47,7 @@ pub fn covariance_tiles(
     }
 
     let slots: Vec<Mutex<Option<Tile>>> = coords.iter().map(|_| Mutex::new(None)).collect();
-    let generate = |id: usize| {
+    let generate = |(): &mut (), id: usize| {
         let (i, j) = coords[id];
         let r = (n - i * nb).min(nb);
         let c = (n - j * nb).min(nb);
@@ -67,11 +66,8 @@ pub fn covariance_tiles(
         *slots[id].lock().unwrap() = Some(Tile::from_f64(r, c, &data, StoragePrecision::F64));
     };
 
-    if nthreads <= 1 {
-        execute_serial(&graph, generate);
-    } else {
-        execute_parallel(&graph, nthreads, generate).expect("covariance tile generation panicked");
-    }
+    execute(&graph, nthreads, |_| (), generate, &ExecOptions::default())
+        .expect("covariance tile generation panicked");
 
     let tiles: Vec<Tile> = slots
         .into_iter()

@@ -9,13 +9,14 @@ use crate::ring::TraceData;
 /// Occupancy sampled over equal time bins, per worker track and averaged.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyTimeline {
-    /// Worker tracks present, ascending.
+    /// Worker tracks that ran at least one task, ascending.
     pub tracks: Vec<u16>,
     /// Bin width in nanoseconds.
     pub bin_ns: f64,
     /// `tracks.len()` rows of `bins` busy fractions in `[0, 1]`.
     pub per_track: Vec<Vec<f64>>,
-    /// Mean across tracks per bin.
+    /// Mean busy fraction per bin over all workers of the run; a worker
+    /// that ran no task counts as idle.
     pub aggregate: Vec<f64>,
 }
 
@@ -54,8 +55,11 @@ impl OccupancyTimeline {
 }
 
 /// Build the Fig 9-style timeline from `TaskExec` spans on worker tracks.
-/// The time base is `[first span start, last span end]`.
-pub fn occupancy_timeline(t: &TraceData, bins: usize) -> OccupancyTimeline {
+/// The time base is `[first span start, last span end]`. `workers` is the
+/// run's worker count, the denominator of the aggregate: workers that
+/// emitted no span are idle, not absent. A count below the number of
+/// tracks seen (e.g. 0 for unknown) falls back to that number.
+pub fn occupancy_timeline(t: &TraceData, bins: usize, workers: usize) -> OccupancyTimeline {
     assert!(bins > 0);
     let spans: Vec<_> = t
         .records
@@ -93,8 +97,9 @@ pub fn occupancy_timeline(t: &TraceData, bins: usize) -> OccupancyTimeline {
             *v = (*v / w).min(1.0);
         }
     }
+    let workers = workers.max(tracks.len()) as f64;
     let aggregate = (0..bins)
-        .map(|b| per_track.iter().map(|row| row[b]).sum::<f64>() / tracks.len().max(1) as f64)
+        .map(|b| per_track.iter().map(|row| row[b]).sum::<f64>() / workers)
         .collect();
     OccupancyTimeline {
         tracks,
@@ -125,7 +130,7 @@ mod tests {
             records: vec![span(0, 0, 100), span(1, 0, 100)],
             dropped: 0,
         };
-        let o = occupancy_timeline(&t, 4);
+        let o = occupancy_timeline(&t, 4, 2);
         assert_eq!(o.tracks, vec![0, 1]);
         for v in &o.aggregate {
             assert!((v - 1.0).abs() < 1e-9, "{v}");
@@ -140,14 +145,29 @@ mod tests {
             records: vec![span(0, 0, 50), span(0, 99, 1)],
             dropped: 0,
         };
-        let o = occupancy_timeline(&t, 2);
+        let o = occupancy_timeline(&t, 2, 1);
         assert!(o.aggregate[0] > 0.9, "{:?}", o.aggregate);
         assert!(o.aggregate[1] < 0.1, "{:?}", o.aggregate);
     }
 
     #[test]
+    fn idle_workers_count_in_the_denominator() {
+        // 4 workers, one of which ran everything back to back: the run is
+        // a quarter occupied, not fully occupied
+        let t = TraceData {
+            records: vec![span(2, 0, 60), span(2, 60, 40)],
+            dropped: 0,
+        };
+        let o = occupancy_timeline(&t, 8, 4);
+        assert_eq!(o.tracks, vec![2]);
+        assert!((o.mean() - 0.25).abs() < 1e-9, "{}", o.mean());
+        // an unknown worker count falls back to the tracks seen
+        assert!((occupancy_timeline(&t, 8, 0).mean() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn empty_trace_is_empty_timeline() {
-        let o = occupancy_timeline(&TraceData::default(), 8);
+        let o = occupancy_timeline(&TraceData::default(), 8, 4);
         assert!(o.tracks.is_empty());
         assert_eq!(o.mean(), 0.0);
     }
@@ -158,7 +178,7 @@ mod tests {
             records: vec![span(0, 0, 10)],
             dropped: 0,
         };
-        let j = occupancy_timeline(&t, 2).to_json();
+        let j = occupancy_timeline(&t, 2, 1).to_json();
         crate::json::parse(&j).expect("occupancy JSON parses");
     }
 }

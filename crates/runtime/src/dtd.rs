@@ -89,7 +89,7 @@ impl DtdBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::execute_serial;
+    use crate::scheduler::{execute, ExecOptions};
 
     #[test]
     fn raw_war_waw_edges() {
@@ -160,10 +160,10 @@ mod tests {
         // same task count as the PTG builder's closed form
         let expect = nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6;
         assert_eq!(g.len(), expect);
-        // a serial execution respects all inferred edges by construction;
+        // an execution respects all inferred edges by construction;
         // verify the critical path matches the PTG one: 3(NT-1)+1
         assert_eq!(g.critical_path_len(), 3 * (nt - 1) + 1);
-        let order = execute_serial(&g, |_| {});
-        assert_eq!(order.len(), expect);
+        let stats = execute(&g, 1, |_| (), |_, _| (), &ExecOptions::default()).unwrap();
+        assert_eq!(stats.total().tasks as usize, expect);
     }
 }

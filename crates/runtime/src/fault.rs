@@ -16,8 +16,12 @@
 //! * [`RetryPolicy`] — how many attempts a task (or a simulated
 //!   retransmit) gets, and the deterministic jittered backoff between them.
 //! * [`TaskFailure`] — the structured record of one failed attempt that
-//!   the scheduler keeps in its [`crate::trace::ExecutionTrace`] and
+//!   [`crate::execute`] logs in [`crate::ExecStats::failures`] and
 //!   surfaces through [`crate::scheduler::ExecuteError::TaskFailed`].
+//!
+//! [`crate::execute`] applies the same plan and policy at every worker
+//! count, so a one-worker run is the deterministic replay of a faulty
+//! parallel run.
 
 /// SplitMix64: the standard 64-bit finalizer used to derive independent,
 /// well-mixed draws from `(seed, site, attempt)` without any RNG state.

@@ -2,7 +2,7 @@
 //! visualization of the asynchronous schedule (the view PaRSEC's
 //! instrumentation tools provide graphically).
 
-use crate::trace::WorkerStats;
+use crate::stats::WorkerStats;
 use mixedp_obs as obs;
 
 fn track_label(track: u16) -> String {
@@ -16,8 +16,7 @@ fn track_label(track: u16) -> String {
 /// Render the span records as one row per track, `width` columns across
 /// the makespan. Each cell shows a digit of the task id (`arg % 10`) that
 /// occupied most of that slot (`·` = idle). Instants are skipped; build
-/// the input with [`obs::collect`] after a traced run or via
-/// [`ExecutionTrace::to_telemetry`](crate::ExecutionTrace::to_telemetry).
+/// the input with [`obs::collect`] after a traced run.
 pub fn render_gantt(trace: &obs::TraceData, width: usize) -> String {
     assert!(width > 0);
     let tracks = trace.tracks();
@@ -80,25 +79,26 @@ pub fn render_gantt_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ExecutionTrace, TaskSpan};
+
+    fn trace(spans: &[(u16, u64, u64, u64)]) -> obs::TraceData {
+        obs::TraceData {
+            records: spans
+                .iter()
+                .map(|&(track, ts_ns, dur_ns, arg)| obs::Record {
+                    ts_ns,
+                    dur_ns,
+                    arg,
+                    kind: obs::EventKind::TaskExec,
+                    track,
+                })
+                .collect(),
+            dropped: 0,
+        }
+    }
 
     #[test]
     fn renders_rows_per_worker() {
-        let spans = vec![
-            TaskSpan {
-                task: 1,
-                worker: 0,
-                start_ns: 0,
-                end_ns: 50,
-            },
-            TaskSpan {
-                task: 2,
-                worker: 1,
-                start_ns: 25,
-                end_ns: 100,
-            },
-        ];
-        let t = ExecutionTrace::new(spans, 2).to_telemetry();
+        let t = trace(&[(0, 0, 50, 1), (1, 25, 75, 2)]);
         let g = render_gantt(&t, 20);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -111,57 +111,30 @@ mod tests {
 
     #[test]
     fn empty_trace_renders_nothing() {
-        let t = ExecutionTrace::new(vec![], 1).to_telemetry();
-        assert_eq!(render_gantt(&t, 8), "");
+        assert_eq!(render_gantt(&trace(&[]), 8), "");
     }
 
     #[test]
     fn main_track_spans_get_a_labeled_row() {
-        let t = obs::TraceData {
-            records: vec![obs::Record {
-                ts_ns: 100,
-                dur_ns: 50,
-                arg: 3,
-                kind: obs::EventKind::TaskExec,
-                track: obs::MAIN_TRACK,
-            }],
-            dropped: 0,
-        };
-        let g = render_gantt(&t, 8);
+        let g = render_gantt(&trace(&[(obs::MAIN_TRACK, 100, 50, 3)]), 8);
         assert!(g.starts_with("main |3"), "{g}");
     }
 
     #[test]
     fn absolute_timestamps_are_normalized() {
         // spans far from t=0 still fill the full width
-        let base = 5_000_000_000u64;
-        let spans = vec![TaskSpan {
-            task: 7,
-            worker: 0,
-            start_ns: base,
-            end_ns: base + 80,
-        }];
-        let t = ExecutionTrace::new(spans, 1).to_telemetry();
-        let g = render_gantt(&t, 8);
+        let g = render_gantt(&trace(&[(0, 5_000_000_000, 80, 7)]), 8);
         assert_eq!(g, "w0 |77777777|\n");
     }
 
     #[test]
     fn stats_footer_lists_counters() {
-        use crate::trace::WorkerStats;
-        let spans = vec![TaskSpan {
-            task: 0,
-            worker: 0,
-            start_ns: 0,
-            end_ns: 10,
-        }];
         let stats = vec![WorkerStats {
             tasks: 1,
             local_pops: 1,
             ..Default::default()
         }];
-        let t = ExecutionTrace::new(spans, 1).to_telemetry();
-        let g = render_gantt_with_stats(&t, &stats, 8);
+        let g = render_gantt_with_stats(&trace(&[(0, 0, 10, 0)]), &stats, 8);
         let lines: Vec<&str> = g.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[1].contains("tasks"));

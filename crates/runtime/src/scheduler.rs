@@ -6,7 +6,7 @@
 //!
 //! # Work-stealing design
 //!
-//! The parallel executor is a work-stealing scheduler:
+//! The executor is a work-stealing scheduler:
 //!
 //! * **Per-worker ready queues.** Each worker owns a priority queue of
 //!   ready tasks. Releasing a dependent pushes it to the queue of its
@@ -41,24 +41,25 @@
 //!   [`TaskGraph::critical_path_lengths`] — the task unlocking the
 //!   longest remaining chain runs first.
 //!
-//! Workers can carry a per-worker mutable *context* (`execute_parallel_ctx`
-//! / `execute_serial_ctx`): the scheduler constructs one context per worker
-//! before the run and hands it mutably to every task that worker executes.
-//! This is how the kernel layer keeps reusable scratch workspaces — each
-//! worker owns its buffers for the whole factorization, so the steady state
+//! Every worker carries a mutable *context* built by `mk_ctx(worker_id)`
+//! before the run and handed to every task that worker executes. This is
+//! how the kernel layer keeps reusable scratch workspaces — each worker
+//! owns its buffers for the whole factorization, so the steady state
 //! performs no heap allocation at all (see `mixedp_kernels::workspace`).
 //!
-//! [`execute_serial_ctx`] remains the deterministic single-threaded oracle:
-//! strict priority order, bit-exact run to run.
+//! There is one executor, [`execute`]. With `nthreads = 1` its single
+//! worker never steals and every released task lands in its own heap, so
+//! it pops tasks in strict (priority, lowest id) order: the deterministic
+//! one-worker oracle, bit-exact run to run.
 
 use crate::fault::{FaultPlan, RetryPolicy, TaskFailure};
 use crate::graph::{TaskGraph, TaskId};
-use crate::trace::{ExecutionTrace, TaskSpan, WorkerStats};
+use crate::stats::{ExecStats, WorkerStats};
 use mixedp_obs as obs;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Execution failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,43 +269,37 @@ impl SharedState<'_> {
     }
 }
 
-/// Execute every task of `graph` on `nthreads` workers, each carrying a
-/// per-worker mutable context built by `mk_ctx(worker_id)`.
+/// Execute every task of `graph` on `nthreads` workers (0 is treated as
+/// 1), each carrying a per-worker mutable context built by
+/// `mk_ctx(worker_id)`.
 ///
 /// `run(ctx, task)` performs the work; it must synchronize its own data
 /// access (the DAG guarantees a task's dependencies have completed before
-/// it starts). Returns a trace of task spans — with per-worker
-/// steal/idle/wake counters — for occupancy/Gantt analysis.
-pub fn execute_parallel_ctx<C: Send>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mk_ctx: impl Fn(usize) -> C + Sync,
-    run: impl Fn(&mut C, TaskId) + Sync,
-) -> Result<ExecutionTrace, ExecuteError> {
-    execute_parallel_ctx_opts(graph, nthreads, mk_ctx, run, &ExecOptions::default())
-}
-
-/// [`execute_parallel_ctx`] with explicit execution options: the bounded
-/// per-task retry policy (a panicking task is re-executed up to
-/// `retry.max_attempts` times before the run fails with a structured
-/// [`ExecuteError::TaskFailed`]) and a deterministic [`FaultPlan`] for
-/// replayable failure injection.
+/// it starts). Workers run on scoped threads tagged with their worker id as
+/// telemetry track; with tracing on, each executed task emits one
+/// `TaskExec` span.
 ///
-/// Retry semantics: injected panics fire *before* the task body, so a
-/// retried injection re-runs the body on clean inputs. A genuine kernel
-/// panic mid-write may leave its output partially updated; retry is then
-/// best-effort (idempotent task bodies retry exactly).
-pub fn execute_parallel_ctx_opts<C: Send>(
+/// A panicking task is re-executed up to `opts.retry.max_attempts` times
+/// before the run fails with a structured [`ExecuteError::TaskFailed`];
+/// `opts.faults` injects deterministic, replayable failures. Injected
+/// panics fire *before* the task body, so a retried injection re-runs the
+/// body on clean inputs. A genuine kernel panic mid-write may leave its
+/// output partially updated; retry is then best-effort (idempotent task
+/// bodies retry exactly).
+pub fn execute<C: Send>(
     graph: &TaskGraph,
     nthreads: usize,
     mk_ctx: impl Fn(usize) -> C + Sync,
     run: impl Fn(&mut C, TaskId) + Sync,
     opts: &ExecOptions,
-) -> Result<ExecutionTrace, ExecuteError> {
-    assert!(nthreads > 0);
+) -> Result<ExecStats, ExecuteError> {
+    let nthreads = nthreads.max(1);
     let n = graph.len();
     if n == 0 {
-        return Ok(ExecutionTrace::new(Vec::new(), 0));
+        return Ok(ExecStats {
+            workers: vec![WorkerStats::default(); nthreads],
+            failures: Vec::new(),
+        });
     }
     let dependents = graph.dependents();
     let dep_counts: Vec<AtomicUsize> = graph
@@ -346,20 +341,9 @@ pub fn execute_parallel_ctx_opts<C: Send>(
         fatal: Mutex::new(None),
     };
 
-    let t0 = Instant::now();
-    // Telemetry epoch of this run: obs records carry absolute timestamps
-    // (`run_epoch_ns + t0-relative`), reusing the per-task clock reads the
-    // trace already pays — tracing-on adds only the ring store per task.
-    let run_epoch_ns = obs::now_ns();
-    type WorkerResult = (Vec<TaskSpan>, WorkerStats, Vec<TaskFailure>);
-    let results: Vec<Mutex<WorkerResult>> = (0..nthreads)
-        .map(|_| Mutex::new((Vec::new(), WorkerStats::default(), Vec::new())))
-        .collect();
-
     let state = &state;
     let dependents = &dependents;
     let dep_counts = &dep_counts;
-    let results = &results;
     let mk_ctx = &mk_ctx;
     let run = &run;
 
@@ -367,7 +351,6 @@ pub fn execute_parallel_ctx_opts<C: Send>(
         obs::set_thread_track(wid as u16);
         let mut ctx = mk_ctx(wid);
         let mut stats = WorkerStats::default();
-        let mut my_spans: Vec<TaskSpan> = Vec::new();
         let mut my_failures: Vec<TaskFailure> = Vec::new();
         let nw = state.nworkers();
         // Private batch of stolen tasks, worst-priority first so the best
@@ -495,8 +478,8 @@ pub fn execute_parallel_ctx_opts<C: Send>(
             // worker drains and exits. Once poisoned, task bodies are
             // skipped entirely (fast-fail) — only the bookkeeping below
             // still runs.
-            let start = t0.elapsed().as_nanos() as u64;
             if !state.poisoned.load(Ordering::Acquire) {
+                let span = obs::span_start();
                 let mut attempt = 0u32;
                 loop {
                     attempt += 1;
@@ -534,19 +517,7 @@ pub fn execute_parallel_ctx_opts<C: Send>(
                         std::thread::sleep(Duration::from_nanos(back));
                     }
                 }
-                let end = t0.elapsed().as_nanos() as u64;
-                my_spans.push(TaskSpan {
-                    task: id,
-                    worker: wid,
-                    start_ns: start,
-                    end_ns: end,
-                });
-                obs::span_at(
-                    run_epoch_ns + start,
-                    end - start,
-                    obs::EventKind::TaskExec,
-                    id as u64,
-                );
+                obs::span_end(span, obs::EventKind::TaskExec, id as u64);
             }
             stats.tasks += 1;
             state.executed_by[id].store(wid, Ordering::Release);
@@ -598,285 +569,32 @@ pub fn execute_parallel_ctx_opts<C: Send>(
             }
         }
 
-        let mut slot = lock_pt(&results[wid]);
-        slot.0.append(&mut my_spans);
-        slot.1 = stats;
-        slot.2.append(&mut my_failures);
+        (stats, my_failures)
     };
 
-    let scope_panicked = std::thread::scope(|s| {
+    let joined: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
-        handles.into_iter().any(|h| h.join().is_err())
+        handles.into_iter().map(|h| h.join()).collect()
     });
-
-    if scope_panicked {
+    let Ok(per_worker) = joined.into_iter().collect::<Result<Vec<_>, _>>() else {
         return Err(ExecuteError::WorkerPanicked);
-    }
+    };
     if let Some(f) = lock_pt(&state.fatal).take() {
         return Err(ExecuteError::TaskFailed(f));
     }
     if state.poisoned.load(Ordering::Acquire) {
         return Err(ExecuteError::WorkerPanicked);
     }
-    let mut all: Vec<TaskSpan> = Vec::with_capacity(n);
-    let mut stats: Vec<WorkerStats> = Vec::with_capacity(nthreads);
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    for m in results {
-        let mut slot = lock_pt(m);
-        all.append(&mut slot.0);
-        stats.push(slot.1);
-        failures.append(&mut slot.2);
-    }
-    all.sort_by_key(|s| s.start_ns);
-    Ok(ExecutionTrace::with_worker_stats(all, nthreads, stats).with_failures(failures))
-}
-
-/// Execute every task of `graph` on `nthreads` workers (context-free form).
-pub fn execute_parallel(
-    graph: &TaskGraph,
-    nthreads: usize,
-    run: impl Fn(TaskId) + Sync,
-) -> Result<ExecutionTrace, ExecuteError> {
-    execute_parallel_ctx(graph, nthreads, |_| (), |(), id| run(id))
-}
-
-/// The pre-work-stealing executor: one global `Mutex<BinaryHeap>` ready
-/// queue and `notify_all` wake-ups. Retained **only** as the contended
-/// single-heap baseline that `bench_scheduler` compares the work-stealing
-/// scheduler against; not part of the production path.
-pub fn execute_parallel_heap_baseline(
-    graph: &TaskGraph,
-    nthreads: usize,
-    run: impl Fn(TaskId) + Sync,
-) -> Result<ExecutionTrace, ExecuteError> {
-    assert!(nthreads > 0);
-    let n = graph.len();
-    if n == 0 {
-        return Ok(ExecutionTrace::new(Vec::new(), 0));
-    }
-    let dependents = graph.dependents();
-    let dep_counts: Vec<AtomicUsize> = graph
-        .dep_counts()
+    let mut failures = Vec::new();
+    let workers = per_worker
         .into_iter()
-        .map(AtomicUsize::new)
-        .collect();
-
-    struct Heap {
-        heap: Mutex<BinaryHeap<Ready>>,
-        cv: Condvar,
-        remaining: AtomicUsize,
-        poisoned: AtomicBool,
-    }
-    let state = Heap {
-        heap: Mutex::new(BinaryHeap::with_capacity(n)),
-        cv: Condvar::new(),
-        remaining: AtomicUsize::new(n),
-        poisoned: AtomicBool::new(false),
-    };
-    {
-        let mut h = state.heap.lock().unwrap();
-        for (id, node) in graph.iter() {
-            if node.deps.is_empty() {
-                h.push(Ready {
-                    priority: node.priority,
-                    id,
-                });
-            }
-        }
-    }
-
-    let t0 = Instant::now();
-    let spans: Vec<Mutex<Vec<TaskSpan>>> = (0..nthreads).map(|_| Mutex::new(Vec::new())).collect();
-
-    let state = &state;
-    let dependents = &dependents;
-    let dep_counts = &dep_counts;
-    let spans = &spans;
-    let run = &run;
-
-    let worker = move |wid: usize| {
-        let mut newly_ready: Vec<TaskId> = Vec::with_capacity(8);
-        let mut my_spans: Vec<TaskSpan> = Vec::new();
-        loop {
-            let task = {
-                let mut h = state.heap.lock().unwrap();
-                loop {
-                    if let Some(r) = h.pop() {
-                        break Some(r.id);
-                    }
-                    if state.remaining.load(Ordering::Acquire) == 0 {
-                        break None;
-                    }
-                    h = state.cv.wait(h).unwrap();
-                }
-            };
-            let Some(id) = task else {
-                spans[wid].lock().unwrap().append(&mut my_spans);
-                return;
-            };
-
-            let start = t0.elapsed().as_nanos() as u64;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(id)));
-            if outcome.is_err() {
-                state.poisoned.store(true, Ordering::Release);
-            }
-            let end = t0.elapsed().as_nanos() as u64;
-            my_spans.push(TaskSpan {
-                task: id,
-                worker: wid,
-                start_ns: start,
-                end_ns: end,
-            });
-
-            newly_ready.clear();
-            for &dep in &dependents[id] {
-                if dep_counts[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    newly_ready.push(dep);
-                }
-            }
-            let finished_all = state.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-            if !newly_ready.is_empty() {
-                let mut h = state.heap.lock().unwrap();
-                for &d in &newly_ready {
-                    h.push(Ready {
-                        priority: graph.node(d).priority,
-                        id: d,
-                    });
-                }
-                drop(h);
-                state.cv.notify_all();
-            } else if finished_all {
-                state.cv.notify_all();
-            }
-        }
-    };
-
-    let scope_panicked = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
-        handles.into_iter().any(|h| h.join().is_err())
-    });
-
-    if scope_panicked || state.poisoned.load(Ordering::Acquire) {
-        return Err(ExecuteError::WorkerPanicked);
-    }
-    let mut all: Vec<TaskSpan> = spans
-        .iter()
-        .flat_map(|m| m.lock().unwrap().split_off(0))
-        .collect();
-    all.sort_by_key(|s| s.start_ns);
-    Ok(ExecutionTrace::new(all, nthreads))
-}
-
-/// Deterministic single-threaded execution in priority order with a caller
-/// supplied mutable context — the reference semantics for tests.
-pub fn execute_serial_ctx<C>(
-    graph: &TaskGraph,
-    ctx: &mut C,
-    mut run: impl FnMut(&mut C, TaskId),
-) -> Vec<TaskId> {
-    let n = graph.len();
-    let dependents = graph.dependents();
-    let mut counts = graph.dep_counts();
-    let mut heap: BinaryHeap<Ready> = graph
-        .iter()
-        .filter(|(_, node)| node.deps.is_empty())
-        .map(|(id, node)| Ready {
-            priority: node.priority,
-            id,
+        .map(|(stats, mut fails)| {
+            failures.append(&mut fails);
+            stats
         })
         .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(r) = heap.pop() {
-        let sp = obs::span_start();
-        run(ctx, r.id);
-        obs::span_end(sp, obs::EventKind::TaskExec, r.id as u64);
-        order.push(r.id);
-        for &dep in &dependents[r.id] {
-            counts[dep] -= 1;
-            if counts[dep] == 0 {
-                heap.push(Ready {
-                    priority: graph.node(dep).priority,
-                    id: dep,
-                });
-            }
-        }
-    }
-    assert_eq!(order.len(), n, "graph had unreachable tasks (cycle?)");
-    order
-}
-
-/// Deterministic single-threaded execution in priority order.
-pub fn execute_serial(graph: &TaskGraph, mut run: impl FnMut(TaskId)) -> Vec<TaskId> {
-    execute_serial_ctx(graph, &mut (), |(), id| run(id))
-}
-
-/// [`execute_serial_ctx`] under an [`ExecOptions`] fault/retry policy —
-/// the single-threaded oracle for fault-injected runs. Returns the
-/// execution order together with every failed attempt (recovered or not);
-/// a task that exhausts its retry budget fails the run with
-/// [`ExecuteError::TaskFailed`].
-pub fn execute_serial_ctx_opts<C>(
-    graph: &TaskGraph,
-    ctx: &mut C,
-    mut run: impl FnMut(&mut C, TaskId),
-    opts: &ExecOptions,
-) -> Result<(Vec<TaskId>, Vec<TaskFailure>), ExecuteError> {
-    let n = graph.len();
-    let dependents = graph.dependents();
-    let mut counts = graph.dep_counts();
-    let mut heap: BinaryHeap<Ready> = graph
-        .iter()
-        .filter(|(_, node)| node.deps.is_empty())
-        .map(|(id, node)| Ready {
-            priority: node.priority,
-            id,
-        })
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    while let Some(r) = heap.pop() {
-        let id = r.id;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let sp = obs::span_start();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if !opts.faults.is_noop() && opts.faults.inject_panic(id as u64, attempt) {
-                    panic!(
-                        "injected fault (plan seed {}, task {id}, attempt {attempt})",
-                        opts.faults.seed()
-                    );
-                }
-                run(ctx, id)
-            }));
-            obs::span_end(sp, obs::EventKind::TaskExec, id as u64);
-            let payload = match outcome {
-                Ok(()) => break,
-                Err(p) => p,
-            };
-            let failure = TaskFailure {
-                task: id,
-                attempt,
-                cause: panic_cause(payload),
-            };
-            failures.push(failure.clone());
-            if attempt >= opts.retry.max_attempts {
-                return Err(ExecuteError::TaskFailed(failure));
-            }
-        }
-        order.push(id);
-        for &dep in &dependents[id] {
-            counts[dep] -= 1;
-            if counts[dep] == 0 {
-                heap.push(Ready {
-                    priority: graph.node(dep).priority,
-                    id: dep,
-                });
-            }
-        }
-    }
-    assert_eq!(order.len(), n, "graph had unreachable tasks (cycle?)");
-    Ok((order, failures))
+    failures.sort_by_key(|f: &TaskFailure| (f.task, f.attempt));
+    Ok(ExecStats { workers, failures })
 }
 
 #[cfg(test)]
@@ -894,14 +612,30 @@ mod tests {
         g
     }
 
+    /// Context-free run under default options.
+    fn run_plain(
+        g: &TaskGraph,
+        nthreads: usize,
+        f: impl Fn(TaskId) + Sync,
+    ) -> Result<ExecStats, ExecuteError> {
+        execute(g, nthreads, |_| (), |(), id| f(id), &ExecOptions::default())
+    }
+
+    /// Execution order of a one-worker run.
+    fn one_worker_order(g: &TaskGraph) -> Vec<TaskId> {
+        let order = Mutex::new(Vec::new());
+        run_plain(g, 1, |id| lock_pt(&order).push(id)).unwrap();
+        order.into_inner().unwrap()
+    }
+
     #[test]
-    fn serial_respects_dependencies() {
+    fn one_worker_respects_dependencies_and_priority() {
         let mut g = TaskGraph::new();
         let a = g.add_task(vec![], 0);
         let b = g.add_task(vec![a], 10);
         let c = g.add_task(vec![a], 0);
         let d = g.add_task(vec![b, c], 0);
-        let order = execute_serial(&g, |_| {});
+        let order = one_worker_order(&g);
         let pos = |x: TaskId| order.iter().position(|&y| y == x).unwrap();
         assert!(pos(a) < pos(b));
         assert!(pos(a) < pos(c));
@@ -922,14 +656,14 @@ mod tests {
             prev = cur;
         }
         let hits: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
-        let trace = execute_parallel(&g, 4, |id| {
+        let stats = run_plain(&g, 4, |id| {
             hits[id].fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(trace.spans().len(), g.len());
         // counters are populated and consistent
-        let tot = trace.total_stats();
+        assert_eq!(stats.workers.len(), 4);
+        let tot = stats.total();
         assert_eq!(tot.tasks, g.len() as u64);
         assert_eq!(tot.local_pops + tot.stolen_tasks, tot.tasks);
     }
@@ -940,7 +674,7 @@ mod tests {
         let g = chain(200);
         let last = AtomicUsize::new(0);
         let violations = AtomicUsize::new(0);
-        execute_parallel(&g, 8, |id| {
+        run_plain(&g, 8, |id| {
             // ids in a chain are 0..n in dependency order
             let prev = last.swap(id + 1, Ordering::SeqCst);
             if prev != id {
@@ -954,12 +688,12 @@ mod tests {
     #[test]
     fn parallel_uses_multiple_workers() {
         // independent tasks with a small spin: more than one worker should
-        // record spans
+        // run tasks
         let mut g = TaskGraph::new();
         for _ in 0..64 {
             g.add_task(vec![], 0);
         }
-        let trace = execute_parallel(&g, 4, |_| {
+        let stats = run_plain(&g, 4, |_| {
             let mut acc = 0u64;
             for i in 0..500_000u64 {
                 acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B97F4A7C15);
@@ -967,17 +701,20 @@ mod tests {
             std::hint::black_box(acc);
         })
         .unwrap();
-        let workers: std::collections::HashSet<_> =
-            trace.spans().iter().map(|s| s.worker).collect();
-        assert!(workers.len() > 1, "only {workers:?}");
+        let busy = stats.workers.iter().filter(|w| w.tasks > 0).count();
+        assert!(busy > 1, "only {busy} worker(s) ran tasks");
     }
 
     #[test]
-    fn empty_graph_ok() {
+    fn empty_graph_and_zero_threads_ok() {
         let g = TaskGraph::new();
-        let t = execute_parallel(&g, 2, |_| {}).unwrap();
-        assert!(t.spans().is_empty());
-        assert!(execute_serial(&g, |_| {}).is_empty());
+        let stats = run_plain(&g, 2, |_| {}).unwrap();
+        assert_eq!(stats.workers.len(), 2);
+        assert_eq!(stats.total(), WorkerStats::default());
+        // nthreads = 0 means one worker
+        let stats = run_plain(&chain(5), 0, |_| {}).unwrap();
+        assert_eq!(stats.workers.len(), 1);
+        assert_eq!(stats.total().tasks, 5);
     }
 
     #[test]
@@ -989,7 +726,7 @@ mod tests {
             g.add_task(vec![], 0);
         }
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_parallel(&g, 2, |id| {
+            run_plain(&g, 2, |id| {
                 if id == 7 {
                     panic!("injected failure");
                 }
@@ -1017,7 +754,7 @@ mod tests {
         let g = chain(n);
         let bodies_run = AtomicU64::new(0);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_parallel(&g, 4, |id| {
+            run_plain(&g, 4, |id| {
                 bodies_run.fetch_add(1, Ordering::SeqCst);
                 if id == 0 {
                     panic!("injected failure");
@@ -1046,79 +783,60 @@ mod tests {
             faults: FaultPlan::seeded(42).with_persistent_panic_at(3),
             retry: RetryPolicy::default(),
         };
-        let err = execute_parallel_ctx_opts(&g, 2, |_| (), |_, _| (), &opts).unwrap_err();
-        match err {
-            ExecuteError::TaskFailed(f) => {
-                assert_eq!(f.task, 3);
-                assert_eq!(f.attempt, opts.retry.max_attempts);
-                assert!(f.cause.contains("injected fault"), "{}", f.cause);
+        for workers in [1, 2] {
+            let err = execute(&g, workers, |_| (), |_, _| (), &opts).unwrap_err();
+            match err {
+                ExecuteError::TaskFailed(f) => {
+                    assert_eq!(f.task, 3);
+                    assert_eq!(f.attempt, opts.retry.max_attempts);
+                    assert!(f.cause.contains("injected fault"), "{}", f.cause);
+                }
+                e => panic!("expected TaskFailed, got {e:?}"),
             }
-            e => panic!("expected TaskFailed, got {e:?}"),
         }
     }
 
     #[test]
-    fn transient_injected_panic_is_retried_to_success() {
+    fn transient_injected_panics_are_retried_and_logged_sorted() {
         let mut g = TaskGraph::new();
         for _ in 0..8 {
             g.add_task(vec![], 0);
         }
-        // fault only on attempt 1 of task 5: the retry must recover
+        // faults only on attempt 1 of tasks 5 and 2: the retries recover
         let opts = ExecOptions {
-            faults: FaultPlan::seeded(7).with_panic_at(5, 1),
+            faults: FaultPlan::seeded(7).with_panic_at(5, 1).with_panic_at(2, 1),
             retry: RetryPolicy::default(),
         };
-        let ran: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
-        let trace = execute_parallel_ctx_opts(
-            &g,
-            2,
-            |_| (),
-            |_, id| {
-                ran[id].fetch_add(1, Ordering::SeqCst);
-            },
-            &opts,
-        )
-        .unwrap();
-        assert!(ran.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-        assert_eq!(trace.failures().len(), 1);
-        assert_eq!(trace.failures()[0].task, 5);
-        assert_eq!(trace.failures()[0].attempt, 1);
-        assert_eq!(trace.total_stats().retries, 1);
+        for workers in [1, 2] {
+            let ran: Vec<AtomicU64> = (0..g.len()).map(|_| AtomicU64::new(0)).collect();
+            let stats = execute(
+                &g,
+                workers,
+                |_| (),
+                |_, id| {
+                    ran[id].fetch_add(1, Ordering::SeqCst);
+                },
+                &opts,
+            )
+            .unwrap();
+            assert!(ran.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+            let logged: Vec<_> = stats.failures.iter().map(|f| (f.task, f.attempt)).collect();
+            assert_eq!(logged, vec![(2, 1), (5, 1)]);
+            assert_eq!(stats.total().retries, 2);
+        }
     }
 
     #[test]
-    fn serial_opts_matches_parallel_failure_semantics() {
-        let g = chain(10);
-        let opts = ExecOptions {
-            faults: FaultPlan::seeded(9).with_panic_at(4, 1),
-            retry: RetryPolicy::default(),
-        };
-        let (order, failures) = execute_serial_ctx_opts(&g, &mut (), |_, _| (), &opts).unwrap();
-        assert_eq!(order.len(), 10);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].task, 4);
-
-        // persistent fault → typed failure naming the culprit
-        let opts = ExecOptions {
-            faults: FaultPlan::seeded(9).with_persistent_panic_at(4),
-            retry: RetryPolicy::default(),
-        };
-        let err = execute_serial_ctx_opts(&g, &mut (), |_, _| (), &opts).unwrap_err();
-        assert!(matches!(err, ExecuteError::TaskFailed(f) if f.task == 4));
-    }
-
-    #[test]
-    fn priorities_steer_serial_order() {
+    fn priorities_steer_one_worker_order() {
         let mut g = TaskGraph::new();
         let ids: Vec<_> = (0..5).map(|i| g.add_task(vec![], i as i64)).collect();
-        let order = execute_serial(&g, |_| {});
         // descending priority
         let expect: Vec<TaskId> = ids.into_iter().rev().collect();
-        assert_eq!(order, expect);
+        assert_eq!(one_worker_order(&g), expect);
     }
 
     #[test]
-    fn critical_path_priorities_order_known_dag_in_serial() {
+    fn critical_path_priorities_order_known_dag_on_one_worker() {
         // Diamond with unequal arms:
         //   a → heavy → tail1 → tail2 → sink
         //   a → light ───────────────→ sink
@@ -1134,7 +852,7 @@ mod tests {
         let sink = g.add_task(vec![light, t2], 0);
         let cp = g.critical_path_lengths(|_| 1);
         g.set_priorities(&cp);
-        let order = execute_serial(&g, |_| {});
+        let order = one_worker_order(&g);
         let pos = |x: TaskId| order.iter().position(|&y| y == x).unwrap();
         assert_eq!(order[0], a);
         assert!(
@@ -1156,47 +874,40 @@ mod tests {
         let nchains = 4usize;
         let len = 50usize;
         let mut g = TaskGraph::new();
-        let mut chain_of = Vec::new(); // task -> chain
-        let mut prev: Vec<TaskId> = (0..nchains)
-            .map(|c| {
-                let id = g.add_task(vec![], 0);
-                chain_of.push(c);
-                id
-            })
-            .collect();
+        let mut prev: Vec<TaskId> = (0..nchains).map(|_| g.add_task(vec![], 0)).collect();
         for _ in 1..len {
             prev = prev
                 .iter()
-                .enumerate()
-                .map(|(c, &p)| {
-                    let id = g.add_task_with_affinity(vec![p], 0, Some(p));
-                    chain_of.push(c);
-                    id
-                })
+                .map(|&p| g.add_task_with_affinity(vec![p], 0, Some(p)))
                 .collect();
         }
-        let trace = execute_parallel(&g, nchains, |_| {
-            // a touch of work so chains overlap in time
-            let mut acc = 0u64;
-            for i in 0..5_000u64 {
-                acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
-            }
-            std::hint::black_box(acc);
-        })
+        let worker_of: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
+        execute(
+            &g,
+            nchains,
+            |wid| wid,
+            |wid, id| {
+                worker_of[id].store(*wid, Ordering::Relaxed);
+                // a touch of work so chains overlap in time
+                let mut acc = 0u64;
+                for i in 0..5_000u64 {
+                    acc ^= std::hint::black_box(i).wrapping_mul(0x9E3779B9);
+                }
+                std::hint::black_box(acc);
+            },
+            &ExecOptions::default(),
+        )
         .unwrap();
         // Count migrations: consecutive tasks of one chain on different
         // workers. Affinity dispatch should keep these rare (steals can
         // still move work; that's the design, not a bug).
-        let mut worker_of = vec![usize::MAX; g.len()];
-        for s in trace.spans() {
-            worker_of[s.task] = s.worker;
-        }
+        let worker = |id: TaskId| worker_of[id].load(Ordering::Relaxed);
         let mut migrations = 0usize;
         let mut pairs = 0usize;
         for (id, node) in g.iter() {
             if let Some(a) = node.affinity {
                 pairs += 1;
-                if worker_of[id] != worker_of[a] {
+                if worker(id) != worker(a) {
                     migrations += 1;
                 }
             }
@@ -1208,52 +919,32 @@ mod tests {
     }
 
     #[test]
-    fn heap_baseline_matches_semantics() {
-        // The retained single-heap baseline still executes everything
-        // exactly once with dependencies respected.
-        let g = chain(64);
-        let last = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        let trace = execute_parallel_heap_baseline(&g, 4, |id| {
-            let prev = last.swap(id + 1, Ordering::SeqCst);
-            if prev != id {
-                violations.fetch_add(1, Ordering::SeqCst);
-            }
-        })
-        .unwrap();
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
-        assert_eq!(trace.spans().len(), 64);
-    }
-
-    #[test]
     fn per_worker_context_is_threaded_through() {
         // Each worker's context counts the tasks it ran; the counts must
-        // sum to the task total, and the serial form must see one context.
+        // sum to the task total, and one worker must see every task.
         let mut g = TaskGraph::new();
         for _ in 0..64 {
             g.add_task(vec![], 0);
         }
-        let totals: Vec<AtomicU64> = (0..4).map(|_| AtomicU64::new(0)).collect();
-        execute_parallel_ctx(&g, 4, |wid| (wid, 0u64), |ctx, _id| ctx.1 += 1).unwrap();
-        // Contexts are dropped inside the workers; re-run with an observable
-        // sink to check the counts actually accumulate.
-        execute_parallel_ctx(
-            &g,
-            4,
-            |wid| DropCounter {
-                wid,
-                count: 0,
-                sink: &totals,
-            },
-            |ctx, _id| ctx.count += 1,
-        )
-        .unwrap();
-        let sum: u64 = totals.iter().map(|t| t.load(Ordering::Relaxed)).sum();
-        assert_eq!(sum, 64);
-
-        let mut serial_count = 0u64;
-        execute_serial_ctx(&g, &mut serial_count, |c, _| *c += 1);
-        assert_eq!(serial_count, 64);
+        for workers in [1, 4] {
+            // Contexts are dropped inside the workers; the drop sink makes
+            // the per-worker counts observable.
+            let totals: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+            execute(
+                &g,
+                workers,
+                |wid| DropCounter {
+                    wid,
+                    count: 0,
+                    sink: &totals,
+                },
+                |ctx, _id| ctx.count += 1,
+                &ExecOptions::default(),
+            )
+            .unwrap();
+            let sum: u64 = totals.iter().map(|t| t.load(Ordering::Relaxed)).sum();
+            assert_eq!(sum, 64);
+        }
     }
 
     struct DropCounter<'a> {

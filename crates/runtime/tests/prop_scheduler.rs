@@ -1,18 +1,22 @@
 //! Scheduler property tests: randomized DAG shapes (wide layers, long
-//! chains, diamond ladders, random sparse graphs) executed over 1–16
-//! workers, asserting the three invariants the work-stealing scheduler must
-//! uphold regardless of interleaving:
+//! chains, diamond ladders, random sparse graphs) run through `execute`
+//! over 1–16 workers, asserting the invariants the work-stealing scheduler
+//! must uphold regardless of interleaving:
 //!
 //! 1. **exactly-once** — every task body runs exactly one time;
 //! 2. **dependency order** — a task never starts before all of its
 //!    dependencies have finished;
 //! 3. **completion** — the run terminates with all tasks executed (a lost
 //!    wake-up would leave a parked worker holding the last ready task's
-//!    dependents and hang or stall the run).
+//!    dependents and hang or stall the run);
+//! 4. **one-worker priority order** — with `nthreads = 1` every executed
+//!    task is the highest-(priority, lowest id) task ready at that moment,
+//!    which makes the one-worker run the deterministic oracle.
 
-use mixedp_runtime::{execute_parallel, execute_serial, TaskGraph};
+use mixedp_runtime::{execute, ExecOptions, TaskGraph, TaskId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Deterministic word stream for shaping random dependencies (the proptest
 /// shim hands us uniform u64s through a vec strategy).
@@ -115,23 +119,67 @@ fn check_execution(graph: &TaskGraph, workers: usize) {
     let n = graph.len();
     let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let trace = execute_parallel(graph, workers, |id| {
-        for &d in &graph.node(id).deps {
-            assert!(
-                done[d].load(Ordering::Acquire),
-                "task {id} started before dependency {d} finished"
-            );
-        }
-        runs[id].fetch_add(1, Ordering::Relaxed);
-        done[id].store(true, Ordering::Release);
-    })
+    let stats = execute(
+        graph,
+        workers,
+        |_| (),
+        |(), id| {
+            for &d in &graph.node(id).deps {
+                assert!(
+                    done[d].load(Ordering::Acquire),
+                    "task {id} started before dependency {d} finished"
+                );
+            }
+            runs[id].fetch_add(1, Ordering::Relaxed);
+            done[id].store(true, Ordering::Release);
+        },
+        &ExecOptions::default(),
+    )
     .expect("execution failed");
     for (id, r) in runs.iter().enumerate() {
         assert_eq!(r.load(Ordering::Relaxed), 1, "task {id} ran {r:?} times");
     }
-    assert_eq!(trace.spans().len(), n, "trace must cover every task");
-    assert_eq!(trace.total_stats().tasks as usize, n);
-    assert_eq!(trace.worker_stats().len(), workers);
+    assert_eq!(stats.total().tasks as usize, n);
+    assert_eq!(stats.workers.len(), workers);
+}
+
+/// Run `graph` on one worker and replay the recorded order against the
+/// graph: every executed task must be ready, and must be the best ready
+/// task by (priority, then lowest id).
+fn check_one_worker_priority_order(graph: &TaskGraph) {
+    let order = Mutex::new(Vec::with_capacity(graph.len()));
+    execute(
+        graph,
+        1,
+        |_| (),
+        |(), id| order.lock().unwrap().push(id),
+        &ExecOptions::default(),
+    )
+    .expect("execution failed");
+    let order = order.into_inner().unwrap();
+    assert_eq!(order.len(), graph.len());
+
+    let dependents = graph.dependents();
+    let mut counts = graph.dep_counts();
+    let mut ready: Vec<TaskId> = (0..graph.len()).filter(|&id| counts[id] == 0).collect();
+    for (step, &id) in order.iter().enumerate() {
+        let best = *ready
+            .iter()
+            .max_by_key(|&&r| (graph.node(r).priority, std::cmp::Reverse(r)))
+            .expect("a task ran while none was ready");
+        assert_eq!(
+            id, best,
+            "step {step}: ran task {id} while task {best} was the best ready task"
+        );
+        ready.retain(|&r| r != id);
+        for &d in &dependents[id] {
+            counts[d] -= 1;
+            if counts[d] == 0 {
+                ready.push(d);
+            }
+        }
+    }
+    assert!(ready.is_empty());
 }
 
 proptest! {
@@ -161,19 +209,21 @@ proptest! {
         check_execution(&g, workers);
     }
 
-    /// Parallel execution visits tasks in some order the serial oracle
-    /// could also legalize: both must execute the same task set.
+    /// One worker runs the work-stealing loop in strict priority order.
+    /// Random priorities on top of the shape exercise both the priority
+    /// comparison and the lowest-id tie-break.
     #[test]
-    fn parallel_matches_serial_task_set(
+    fn one_worker_runs_best_ready_task_first(
         shape in 0usize..4,
-        n in 1usize..=60,
-        workers in 2usize..=8,
+        n in 1usize..=80,
         words in prop::collection::vec(0u64..u64::MAX, 8),
     ) {
-        let g = build_shape(shape, n, &words);
-        let serial = execute_serial(&g, |_| {});
-        prop_assert_eq!(serial.len(), n);
-        check_execution(&g, workers);
+        let mut g = build_shape(shape, n, &words);
+        check_one_worker_priority_order(&g);
+        for id in 0..n {
+            g.set_priority(id, (pick(&words, id, 11) % 4) as i64);
+        }
+        check_one_worker_priority_order(&g);
     }
 }
 

@@ -11,13 +11,15 @@
 //!    from the stream passes the schema validator with one complete span
 //!    per task;
 //! 4. **overflow accounting** — a ring never grows past its capacity and
-//!    counts every dropped record.
+//!    counts every dropped record;
+//! 5. **track identity** — a one-worker run emits on track 0, and the
+//!    calling thread keeps `MAIN_TRACK` after `execute` returns.
 //!
 //! Every test holds [`obs::test_guard`] — the enable flag, the ring
 //! registry, and the metric registry are process-global.
 
 use mixedp_obs as obs;
-use mixedp_runtime::{execute_parallel, TaskGraph};
+use mixedp_runtime::{execute, ExecOptions, ExecStats, TaskGraph};
 use proptest::prelude::*;
 
 /// Deterministic word stream for shaping random dependencies.
@@ -46,13 +48,18 @@ fn build_graph(n: usize, words: &[u64]) -> TaskGraph {
     g
 }
 
+/// Run `graph` with empty task bodies on `workers` threads.
+fn run_empty(graph: &TaskGraph, workers: usize) -> ExecStats {
+    execute(graph, workers, |_| (), |_, _| (), &ExecOptions::default()).expect("execution failed")
+}
+
 /// Run `graph` with tracing on and assert the span-stream invariants.
 fn check_span_stream(graph: &TaskGraph, workers: usize) {
     let _g = obs::test_guard();
     let n = graph.len();
     obs::collect(); // drain records left over from other tests
     obs::set_enabled(true);
-    let trace = execute_parallel(graph, workers, |_| {}).expect("execution failed");
+    let stats = run_empty(graph, workers);
     obs::set_enabled(false);
     let t = obs::collect();
     assert_eq!(t.dropped, 0, "empty-body run must not overflow the rings");
@@ -93,9 +100,9 @@ fn check_span_stream(graph: &TaskGraph, workers: usize) {
         }
     }
 
-    // span stream agrees with the scheduler's own trace, and exports to a
+    // span stream agrees with the scheduler's counters, and exports to a
     // schema-valid Chrome document with one complete span per task
-    assert_eq!(trace.spans().len(), n);
+    assert_eq!(stats.total().tasks as usize, n);
     let json = obs::chrome_trace_json(&t);
     let summary = obs::validate_chrome_trace(&json).expect("chrome export must validate");
     assert_eq!(summary.complete_spans, n);
@@ -127,7 +134,7 @@ fn ring_overflow_is_counted_not_grown() {
     for _ in 0..20 {
         flood.add_task(vec![], 0);
     }
-    execute_parallel(&flood, 1, |_| {}).expect("execution failed");
+    run_empty(&flood, 1);
     obs::set_enabled(false);
     let t = obs::collect();
     obs::set_default_ring_capacity(obs::ring::DEFAULT_RING_CAPACITY);
@@ -156,11 +163,37 @@ fn disabled_run_emits_nothing() {
     for _ in 0..16 {
         g.add_task(vec![], 0);
     }
-    execute_parallel(&g, 4, |_| {}).expect("execution failed");
+    run_empty(&g, 4);
     let t = obs::collect();
     assert!(
         t.records.is_empty(),
         "tracing off must emit no records (got {})",
         t.records.len()
+    );
+}
+
+#[test]
+fn one_worker_spans_land_on_track_zero_and_caller_keeps_main_track() {
+    let _g = obs::test_guard();
+    obs::collect();
+    obs::set_enabled(true);
+    let graph = build_graph(40, &[3, 141, 59, 26, 5358, 97, 93, 23846]);
+    run_empty(&graph, 1);
+    obs::set_enabled(false);
+    assert_eq!(
+        obs::ring::thread_track(),
+        obs::MAIN_TRACK,
+        "execute must not retag the calling thread"
+    );
+    let t = obs::collect();
+    let tasks: Vec<_> = t
+        .records
+        .iter()
+        .filter(|r| r.kind == obs::EventKind::TaskExec)
+        .collect();
+    assert_eq!(tasks.len(), graph.len());
+    assert!(
+        tasks.iter().all(|r| r.track == 0),
+        "one-worker task spans must land on track 0"
     );
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verify flow: formatting, lints, build, tests, kernel perf snapshot.
+# Full verify flow: formatting, lints, build, tests (benchmark included),
+# perf snapshots.
 #
 # Usage: scripts/verify.sh [--no-bench]
 set -euo pipefail
@@ -31,6 +32,10 @@ cargo test --offline -q --release -p mixedp-core wire::
 echo "== F16C fast paths (release: full 2^32 conversion sweep, bit-identity proptests)"
 cargo test --offline -q --release -p mixedp-kernels --test f16c_conversions -- --include-ignored
 cargo test --offline -q --release -p mixedp-kernels --test prop_f16c
+
+echo "== end-to-end benchmark (perfbench): build against the library API, helper tests"
+cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
+python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     echo "== kernel perf snapshot (BENCH_kernels.json)"

@@ -11,7 +11,10 @@
 //! strict single-threaded execution (e.g. inside another worker pool —
 //! see the oversubscription note in `mixedp-kernels`) should use the
 //! explicit `parallel: bool` paths those crates expose rather than relying
-//! on this shim's internal threshold.
+//! on this shim's internal threshold. The task runtime has one executor,
+//! `mixedp_runtime::execute`; the factorization passes `parallel = true`
+//! only when it runs that executor on a single worker (`nthreads = 1`, the
+//! deterministic oracle), so DAG workers and kernel threads never stack.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
