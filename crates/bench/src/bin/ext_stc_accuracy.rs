@@ -19,8 +19,8 @@
 //!        --wire-garble-rate=0.05 --max-retransmits=8]`
 
 use mixedp_bench::{App, Args};
-use mixedp_core::distributed::{factorize_mp_distributed_ft, DistError, WirePolicy};
 use mixedp_core::PrecisionMap;
+use mixedp_core::{factorize_mp_distributed_ft, DistError, WirePolicy};
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_geostats::covariance::covariance_entry;
 use mixedp_kernels::reconstruction_error;

@@ -5,7 +5,7 @@
 //!       [--max-nt=60] [--nb=2048]`
 
 use mixedp_bench::Args;
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::{ClusterSpec, NodeSpec};
 
@@ -31,7 +31,7 @@ fn main() {
         let mut nt = 12;
         while nt <= max_nt {
             let n = nt * nb;
-            let run = |p: Precision, s: Strategy| {
+            let run = |p: Precision, s: WirePolicy| {
                 simulate_cholesky(
                     &uniform_map(nt, p),
                     &cluster,
@@ -41,12 +41,12 @@ fn main() {
             };
             println!(
                 "{n:>8} {:>9.1} {:>9.1} {:>11.1} {:>11.1} {:>9.1} {:>9.1}",
-                run(Precision::Fp64, Strategy::Ttc),
-                run(Precision::Fp32, Strategy::Ttc),
-                run(Precision::Fp16x32, Strategy::Ttc),
-                run(Precision::Fp16x32, Strategy::Auto),
-                run(Precision::Fp16, Strategy::Ttc),
-                run(Precision::Fp16, Strategy::Auto),
+                run(Precision::Fp64, WirePolicy::Ttc),
+                run(Precision::Fp32, WirePolicy::Ttc),
+                run(Precision::Fp16x32, WirePolicy::Ttc),
+                run(Precision::Fp16x32, WirePolicy::Auto),
+                run(Precision::Fp16, WirePolicy::Ttc),
+                run(Precision::Fp16, WirePolicy::Auto),
             );
             nt += 12;
         }
@@ -55,25 +55,25 @@ fn main() {
         let t64 = simulate_cholesky(
             &uniform_map(max_nt, Precision::Fp64),
             &cluster,
-            o(Strategy::Auto),
+            o(WirePolicy::Auto),
         )
         .makespan_s;
         let t16 = simulate_cholesky(
             &uniform_map(max_nt, Precision::Fp16),
             &cluster,
-            o(Strategy::Auto),
+            o(WirePolicy::Auto),
         )
         .makespan_s;
         let ttc16 = simulate_cholesky(
             &uniform_map(max_nt, Precision::Fp16),
             &cluster,
-            o(Strategy::Ttc),
+            o(WirePolicy::Ttc),
         )
         .makespan_s;
         let eff = simulate_cholesky(
             &uniform_map(max_nt, Precision::Fp64),
             &cluster,
-            o(Strategy::Auto),
+            o(WirePolicy::Auto),
         )
         .tflops()
             / peak64;

@@ -9,7 +9,7 @@
 //!       [--mode=weak|strong|mp|all] [--nb=2048] [--full]`
 
 use mixedp_bench::{approx_precision_map, App, Args};
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::ClusterSpec;
 
@@ -31,7 +31,7 @@ fn weak(nb: usize, full: bool) {
             &cluster,
             CholeskySimOptions {
                 nb,
-                strategy: Strategy::Auto,
+                strategy: WirePolicy::Auto,
             },
         );
         let peak = cluster.peak_tflops(Precision::Fp64);
@@ -64,7 +64,7 @@ fn strong(nb: usize, full: bool) {
             &cluster,
             CholeskySimOptions {
                 nb,
-                strategy: Strategy::Auto,
+                strategy: WirePolicy::Auto,
             },
         );
         if base == 0.0 {
@@ -101,7 +101,7 @@ fn mp_effect(nb: usize, full: bool) {
     for &nt in nts {
         let o = CholeskySimOptions {
             nb,
-            strategy: Strategy::Auto,
+            strategy: WirePolicy::Auto,
         };
         let f64t = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cluster, o).tflops();
         let f32t = simulate_cholesky(&uniform_map(nt, Precision::Fp32), &cluster, o).tflops();

@@ -5,7 +5,7 @@
 //!       [--nt=40] [--nb=2048] [--bins=40]`
 
 use mixedp_bench::Args;
-use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, Strategy};
+use mixedp_core::{simulate_cholesky, uniform_map, CholeskySimOptions, WirePolicy};
 use mixedp_fp::Precision;
 use mixedp_gpusim::{ClusterSpec, NodeSpec};
 
@@ -38,7 +38,7 @@ fn main() {
             &cluster,
             CholeskySimOptions {
                 nb,
-                strategy: Strategy::Auto,
+                strategy: WirePolicy::Auto,
             },
         );
         let series = rep.occupancy_series(0, bins);

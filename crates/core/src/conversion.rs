@@ -33,16 +33,23 @@ use mixedp_obs as obs;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Conversion strategy selection for a whole run.
+/// Wire-precision policy for the POTRF/TRSM broadcasts of a whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Strategy {
-    /// Always receiver-side conversion: ship storage precision (the
-    /// baseline of \[18\], \[38\]; the lower bound in Fig 8).
+pub enum WirePolicy {
+    /// Always receiver-side conversion: ship storage precision, lossless on
+    /// the wire (the baseline of \[18\], \[38\]; the lower bound in Fig 8).
     Ttc,
     /// The automated plan of Algorithm 2 (STC wherever beneficial; the
     /// paper's contribution — upper curve in Fig 8).
     Auto,
+    /// Always ship FP16 (the §VI strawman).
+    AlwaysLowest,
 }
+
+/// Former name of [`WirePolicy`], kept only because the `perfbench`
+/// benchmark sources name `Strategy::Auto`; remove it with the next change
+/// to the benchmark.
+pub type Strategy = WirePolicy;
 
 /// The planner output: per-tile communication precision plus the STC/TTC
 /// classification (Fig 4b).
@@ -64,6 +71,22 @@ impl ConversionPlan {
     pub fn comm(&self, i: usize, j: usize) -> CommPrecision {
         debug_assert!(j <= i);
         self.comm[i * (i + 1) / 2 + j]
+    }
+
+    /// Wire precision of the broadcasts from tile `(i, j)` under `policy`:
+    /// storage precision (TTC), the planned precision (Auto), or FP16.
+    pub fn wire(
+        &self,
+        pmap: &PrecisionMap,
+        policy: WirePolicy,
+        i: usize,
+        j: usize,
+    ) -> CommPrecision {
+        match policy {
+            WirePolicy::Ttc => comm_of_storage(pmap.storage(i, j)),
+            WirePolicy::Auto => self.comm(i, j),
+            WirePolicy::AlwaysLowest => CommPrecision::Fp16,
+        }
     }
 
     /// Whether the task on tile `(i, j)` uses sender-side conversion.

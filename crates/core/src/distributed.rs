@@ -4,7 +4,11 @@
 //! The shared-memory factorization ([`crate::factorize`]) models the kernel
 //! arithmetic but not the communications. Here tiles are owned by ranks of
 //! a 2D block-cyclic [`Grid2d`] (owner-computes), and every dependency that
-//! crosses ranks travels as an actual [`crate::wire`] message:
+//! crosses ranks travels as an actual [`crate::wire`] message. The engine
+//! walks [`build_dag`]'s task order, a right-looking topological order, and
+//! hand-codes no communication pattern: each task runs on the rank of its
+//! output tile, reads its [`CholeskyTask::inputs`], and a POTRF/TRSM output
+//! ships to the ranks of its [`CholeskyTask::readers`].
 //!
 //! * **Fused convert-and-pack** — the owner streams each broadcast tile
 //!   straight into a little-endian byte buffer at its wire precision
@@ -21,7 +25,7 @@
 //!   ([`crate::wire::broadcast_hops`]) instead of `D` serialized sends from
 //!   the owner; [`DistStats`] reports the modeled NIC time both ways.
 //!
-//! Wire precisions come from the conversion plan:
+//! Wire precisions come from [`crate::ConversionPlan::wire`]:
 //!
 //! * [`WirePolicy::Ttc`] — ship storage precision: cross-rank payloads are
 //!   bit-identical to the owner's tile (storage quantization is the
@@ -35,36 +39,28 @@
 //!   further reduce GPU data transfer, but it might also unnecessarily
 //!   compromise the accuracy"): every payload ships FP16.
 //!
-//! The `ext_stc_accuracy` binary quantifies the three against each other;
-//! `bench_wire` measures the engine itself.
+//! The kernels run sequentially on the engine's one [`Workspace`]. The
+//! `ext_stc_accuracy` binary quantifies the three policies against each
+//! other; `bench_wire` measures the engine itself.
 
-use crate::conversion::{plan_conversions, ConversionPlan};
+use crate::conversion::{plan_conversions, WirePolicy};
+use crate::factorize::{build_dag, CholeskyTask};
 use crate::precision_map::PrecisionMap;
 use crate::wire::{
     begin_message, broadcast_hops, broadcast_rounds, framed_tile_bytes, packed_bytes, push_frame,
     seal_message, unpack_message, FrameMeta, Packing, FRAME_HEADER_BYTES, MSG_HEADER_BYTES,
 };
-use mixedp_fp::{comm_of_storage, CommPrecision};
+use mixedp_fp::{comm_of_storage, StoragePrecision};
 use mixedp_gpusim::model::link_time_s;
 use mixedp_gpusim::NodeSpec;
 use mixedp_kernels::{
-    blas::NotSpd, gemm_tile, potrf_tile, syrk_tile, tile_is_finite, trsm_tile, Workspace,
+    blas::NotSpd, gemm_tile_ws, potrf_tile_ws, syrk_tile_ws, tile_is_finite, trsm_tile_ws,
+    Workspace,
 };
 use mixedp_obs as obs;
 use mixedp_runtime::{FaultPlan, RetryPolicy, WireFault};
 use mixedp_tile::{Grid2d, SymmTileMatrix, Tile};
 use std::collections::{BTreeMap, HashMap};
-
-/// Wire-precision policy for cross-rank payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WirePolicy {
-    /// Ship storage precision (receiver converts): lossless on the wire.
-    Ttc,
-    /// Algorithm 2's automated plan (STC where beneficial).
-    Auto,
-    /// Always ship FP16 (the §VI strawman).
-    AlwaysLowest,
-}
 
 /// Communication statistics of a distributed numerical run. Byte counts
 /// are *measured buffer lengths* of the packed messages, not arithmetic
@@ -186,36 +182,21 @@ impl std::fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-/// Wire precision for broadcasts from tile `(i, j)` under a policy.
-fn wire_of(
-    plan: &ConversionPlan,
-    pmap: &PrecisionMap,
-    policy: WirePolicy,
-    i: usize,
-    j: usize,
-) -> CommPrecision {
-    match policy {
-        WirePolicy::Ttc => comm_of_storage(pmap.storage(i, j)),
-        WirePolicy::Auto => plan.comm(i, j),
-        WirePolicy::AlwaysLowest => CommPrecision::Fp16,
-    }
-}
-
-/// One tile scheduled for broadcast in the current factorization step.
+/// One finalized tile awaiting its broadcast.
 #[derive(Debug, Clone, Copy)]
 struct Bcast {
     i: usize,
     j: usize,
-    packing: Packing,
-    /// Destination ranks (sorted, owner excluded).
-    first_dest: usize, // index into a shared dest arena
+    /// Destination ranks (sorted, owner excluded): a range of a shared
+    /// dest arena.
+    first_dest: usize,
     ndests: usize,
 }
 
 /// Distributed mixed-precision factorization over `grid`. Serial,
-/// deterministic execution in right-looking phase order (a topological
-/// order of the Algorithm 1 DAG); cross-rank reads are wire-quantized per
-/// `policy`.
+/// deterministic execution in [`build_dag`]'s task order (a right-looking
+/// topological order of the Algorithm 1 DAG); cross-rank reads are
+/// wire-quantized per `policy`.
 ///
 /// Thin fault-free wrapper over [`factorize_mp_distributed_ft`].
 pub fn factorize_mp_distributed(
@@ -275,6 +256,7 @@ pub fn factorize_mp_distributed_ft(
     assert_eq!(pmap.nt(), nt);
     let nb = a.nb();
     let plan = plan_conversions(pmap);
+    let wire = |i: usize, j: usize| plan.wire(pmap, policy, i, j);
     let nranks = grid.nranks();
     let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
 
@@ -284,25 +266,25 @@ pub fn factorize_mp_distributed_ft(
             tiles.push(a.tile(i, j).clone());
         }
     }
-    // Received copies: (consumer_rank, tile_index) → wire-degraded tile,
-    // valid for the current version (panel tiles are final once TRSM ran,
-    // and diagonal L_kk is final once POTRF ran — the only communicated
-    // tiles, so no invalidation is needed).
+    // Received copies: (consumer_rank, tile_index) → wire-degraded tile.
+    // Only POTRF and TRSM outputs are communicated, and both are final
+    // once written, so no invalidation is needed.
     let mut inbox: HashMap<(usize, usize), Tile> = HashMap::new();
     let mut stats = DistStats::default();
-    // Per-run workspace: the packed-message byte scratch (PR-1 pattern —
-    // reused across every message, allocation-free once warmed).
+    // Per-run workspace: kernel staging plus the packed-message byte
+    // scratch, reused by every task and message (allocation-free once warm).
     let mut ws = Workspace::new();
     let mut msg_seq: u64 = 0;
     // NIC link model for the flat-vs-tree time accounting.
     let nic = NodeSpec::summit();
     let link = |bytes: u64| link_time_s(bytes, nic.nic_gbs, nic.nic_latency_s);
 
-    // Run the broadcasts of one factorization step: per-tile destination
-    // dedup, binomial tree routing, and link-level coalescing (all frames
-    // crossing the same link ride one message).
+    // Ship one group of finalized tiles: binomial tree routing per tile and
+    // link-level coalescing (all frames crossing the same link ride one
+    // message).
     let mut run_broadcasts = |stats: &mut DistStats,
                               inbox: &mut HashMap<(usize, usize), Tile>,
+                              ws: &mut Workspace,
                               tiles: &[Tile],
                               bcasts: &[Bcast],
                               dest_arena: &[usize]|
@@ -312,19 +294,16 @@ pub fn factorize_mp_distributed_ft(
         let mut links: BTreeMap<(usize, usize), Vec<&Bcast>> = BTreeMap::new();
         for b in bcasts {
             let dests = &dest_arena[b.first_dest..b.first_dest + b.ndests];
-            if dests.is_empty() {
-                continue;
-            }
             let t = &tiles[idx(b.i, b.j)];
-            let wire = wire_of(&plan, pmap, policy, b.i, b.j);
+            let packing = Packing::of_tile(b.i, b.j);
             stats.broadcasts += 1;
             // Rank-deduplicated TTC baseline: storage-precision payload,
             // same packing, once per destination rank.
             let ttc_wire = comm_of_storage(pmap.storage(b.i, b.j));
             stats.ttc_bytes +=
-                (packed_bytes(t.rows(), t.cols(), ttc_wire, b.packing) * dests.len()) as u64;
+                (packed_bytes(t.rows(), t.cols(), ttc_wire, packing) * dests.len()) as u64;
             // Modeled NIC time for this payload, flat vs tree.
-            let fb = framed_tile_bytes(t.rows(), t.cols(), wire, b.packing) as u64;
+            let fb = framed_tile_bytes(t.rows(), t.cols(), wire(b.i, b.j), packing) as u64;
             stats.link_time_flat_s += dests.len() as f64 * link(fb);
             stats.link_time_tree_s += broadcast_rounds(dests.len() + 1) as f64 * link(fb);
             let owner = grid.rank_of(b.i, b.j);
@@ -341,13 +320,13 @@ pub fn factorize_mp_distributed_ft(
                 begin_message(v);
                 for b in &frames {
                     let t = &tiles[idx(b.i, b.j)];
-                    let wire = wire_of(&plan, pmap, policy, b.i, b.j);
-                    payload += packed_bytes(t.rows(), t.cols(), wire, b.packing) as u64;
-                    push_frame(v, b.i, b.j, t, wire, b.packing);
+                    let (w, packing) = (wire(b.i, b.j), Packing::of_tile(b.i, b.j));
+                    payload += packed_bytes(t.rows(), t.cols(), w, packing) as u64;
+                    push_frame(v, b.i, b.j, t, w, packing);
                 }
                 seal_message(v);
             });
-            let first_elem_bytes = wire_of(&plan, pmap, policy, frames[0].i, frames[0].j).bytes();
+            let first_elem_bytes = wire(frames[0].i, frames[0].j).bytes();
 
             // Receiver side: typed decode + finite-ness integrity check;
             // only a fully valid message is accepted into the inbox.
@@ -430,135 +409,89 @@ pub fn factorize_mp_distributed_ft(
         Ok(())
     };
 
-    // Fetch tile (si, sj) for a consumer task running on `rank`.
-    let fetch = |tiles: &[Tile],
-                 inbox: &HashMap<(usize, usize), Tile>,
-                 si: usize,
-                 sj: usize,
-                 rank: usize|
-     -> Tile {
-        if grid.rank_of(si, sj) == rank {
-            tiles[idx(si, sj)].clone()
-        } else {
-            inbox
-                .get(&(rank, idx(si, sj)))
-                .expect("broadcast must have delivered every consumed tile")
-                .clone()
+    // Finalized tiles not yet shipped. They go out as one group just
+    // before the first task that reads one of them: a POTRF's diagonal
+    // block alone, then the panel of the step's TRSMs together.
+    let mut pending: Vec<Bcast> = Vec::new();
+    let mut dest_arena: Vec<usize> = Vec::new();
+    let mut need = vec![false; nranks];
+    for t in &build_dag(nt).tasks {
+        if t.inputs().any(|x| pending.iter().any(|b| (b.i, b.j) == x)) {
+            run_broadcasts(
+                &mut stats,
+                &mut inbox,
+                &mut ws,
+                &tiles,
+                &pending,
+                &dest_arena,
+            )?;
+            pending.clear();
+            dest_arena.clear();
         }
-    };
 
-    // Per-consumer-task TTC baseline: what a wire with no rank dedup and no
-    // coalescing would ship for one cross-rank input.
-    let count_consumer_fetch =
-        |stats: &mut DistStats, tiles: &[Tile], si: usize, sj: usize, packing: Packing| {
-            let t = &tiles[idx(si, sj)];
-            let ttc_wire = comm_of_storage(pmap.storage(si, sj));
+        // Owner-computes: the task runs on its output tile's rank and reads
+        // each input locally or from the copy the wire delivered there.
+        let (oi, oj) = t.output_tile();
+        let rank = grid.rank_of(oi, oj);
+        for (i, j) in t.inputs().filter(|&(i, j)| grid.rank_of(i, j) != rank) {
+            // Per-consumer-task TTC baseline: what a wire with no rank
+            // dedup and no coalescing would ship for this read.
+            let s = &tiles[idx(i, j)];
+            let ttc_wire = comm_of_storage(pmap.storage(i, j));
             stats.consumer_fetches += 1;
             stats.consumer_ttc_bytes +=
-                framed_tile_bytes(t.rows(), t.cols(), ttc_wire, packing) as u64;
-        };
-
-    for k in 0..nt {
-        // -- POTRF(k,k) on its owner ------------------------------------
-        let mut c = tiles[idx(k, k)].clone();
-        if potrf_tile(&mut c).is_err() {
-            return Err(DistError::NotSpd(NotSpd { column: k * nb }));
+                framed_tile_bytes(s.rows(), s.cols(), ttc_wire, Packing::of_tile(i, j)) as u64;
         }
-        tiles[idx(k, k)] = c;
-
-        // -- broadcast L_kk to the TRSM owners of column k ---------------
-        let owner_kk = grid.rank_of(k, k);
-        let mut need = vec![false; nranks];
-        for i in (k + 1)..nt {
-            let r = grid.rank_of(i, k);
-            if r != owner_kk {
-                need[r] = true;
-                count_consumer_fetch(&mut stats, &tiles, k, k, Packing::Lower);
+        let mut c = std::mem::replace(
+            &mut tiles[idx(oi, oj)],
+            Tile::zeros(0, 0, StoragePrecision::F64),
+        );
+        let mut ins = t.inputs().map(|(i, j)| {
+            if grid.rank_of(i, j) == rank {
+                &tiles[idx(i, j)]
+            } else {
+                inbox
+                    .get(&(rank, idx(i, j)))
+                    .expect("broadcast must have delivered every consumed tile")
             }
-        }
-        let diag_dests: Vec<usize> = (0..nranks).filter(|&r| need[r]).collect();
-        let diag_bcast = [Bcast {
-            i: k,
-            j: k,
-            packing: Packing::Lower,
-            first_dest: 0,
-            ndests: diag_dests.len(),
-        }];
-        run_broadcasts(&mut stats, &mut inbox, &tiles, &diag_bcast, &diag_dests)?;
-
-        // -- TRSM(i,k) for the whole panel -------------------------------
-        for i in (k + 1)..nt {
-            let rank = grid.rank_of(i, k);
-            let l = fetch(&tiles, &inbox, k, k, rank);
-            let mut b = tiles[idx(i, k)].clone();
-            trsm_tile(pmap.kernel(i, k), &l, &mut b);
-            tiles[idx(i, k)] = b;
-        }
-
-        // -- coalesced panel broadcast ----------------------------------
-        // Destination dedup: tile (i,k) ships once per rank owning any of
-        // its SYRK/GEMM consumers, never per consumer task.
-        let mut dest_arena: Vec<usize> = Vec::new();
-        let mut bcasts: Vec<Bcast> = Vec::new();
-        for i in (k + 1)..nt {
-            let owner = grid.rank_of(i, k);
-            let mut need = vec![false; nranks];
-            let mut mark = |r: usize| {
-                if r != owner {
-                    need[r] = true;
+        });
+        let mut input = || ins.next().expect("kernel operand");
+        match *t {
+            CholeskyTask::Potrf { k } => {
+                if potrf_tile_ws(&mut c, &mut ws, false).is_err() {
+                    return Err(DistError::NotSpd(NotSpd { column: k * nb }));
                 }
-            };
-            mark(grid.rank_of(i, i)); // SYRK(i,k)
-            for n in (k + 1)..i {
-                mark(grid.rank_of(i, n)); // GEMM(i,n,k) reads (i,k)
             }
-            for m in (i + 1)..nt {
-                mark(grid.rank_of(m, i)); // GEMM(m,i,k) reads (i,k)
+            CholeskyTask::Trsm { m, k } => {
+                trsm_tile_ws(pmap.kernel(m, k), input(), &mut c, &mut ws, false)
             }
-            let first_dest = dest_arena.len();
-            dest_arena.extend((0..nranks).filter(|&r| need[r]));
-            bcasts.push(Bcast {
-                i,
-                j: k,
-                packing: Packing::Full,
+            CholeskyTask::Syrk { .. } => syrk_tile_ws(input(), &mut c, &mut ws, false),
+            CholeskyTask::Gemm { m, n, .. } => {
+                gemm_tile_ws(pmap.kernel(m, n), input(), input(), &mut c, &mut ws, false)
+            }
+        }
+        tiles[idx(oi, oj)] = c;
+
+        // Destination dedup: a finalized tile ships once per rank owning
+        // any of its readers, never once per reading task.
+        need.fill(false);
+        for r in t.readers(nt) {
+            let (i, j) = r.output_tile();
+            need[grid.rank_of(i, j)] = true;
+        }
+        need[rank] = false;
+        let first_dest = dest_arena.len();
+        dest_arena.extend((0..nranks).filter(|&r| need[r]));
+        if dest_arena.len() > first_dest {
+            pending.push(Bcast {
+                i: oi,
+                j: oj,
                 first_dest,
                 ndests: dest_arena.len() - first_dest,
             });
         }
-        // Per-consumer baseline of the trailing update's panel reads.
-        for m in (k + 1)..nt {
-            if grid.rank_of(m, m) != grid.rank_of(m, k) {
-                count_consumer_fetch(&mut stats, &tiles, m, k, Packing::Full);
-            }
-            for n in (k + 1)..m {
-                let r = grid.rank_of(m, n);
-                if r != grid.rank_of(m, k) {
-                    count_consumer_fetch(&mut stats, &tiles, m, k, Packing::Full);
-                }
-                if r != grid.rank_of(n, k) {
-                    count_consumer_fetch(&mut stats, &tiles, n, k, Packing::Full);
-                }
-            }
-        }
-        run_broadcasts(&mut stats, &mut inbox, &tiles, &bcasts, &dest_arena)?;
-
-        // -- trailing update --------------------------------------------
-        for m in (k + 1)..nt {
-            let rank = grid.rank_of(m, m);
-            let p = fetch(&tiles, &inbox, m, k, rank);
-            let mut c = tiles[idx(m, m)].clone();
-            syrk_tile(&p, &mut c);
-            tiles[idx(m, m)] = c;
-            for n in (k + 1)..m {
-                let rank = grid.rank_of(m, n);
-                let pa = fetch(&tiles, &inbox, m, k, rank);
-                let pb = fetch(&tiles, &inbox, n, k, rank);
-                let mut c = tiles[idx(m, n)].clone();
-                gemm_tile(pmap.kernel(m, n), &pa, &pb, &mut c);
-                tiles[idx(m, n)] = c;
-            }
-        }
     }
+    debug_assert!(pending.is_empty(), "every broadcast has a reader");
 
     let mut it = tiles.into_iter();
     for i in 0..nt {

@@ -8,6 +8,12 @@
 //! kernel's arithmetic follows its format exactly (`mixedp-kernels`), so
 //! the factor and everything downstream (log-likelihoods, parameter
 //! estimates) carry genuine mixed-precision rounding.
+//!
+//! [`CholeskyTask::inputs`] and [`CholeskyTask::readers`] are the one
+//! statement of who reads which tile: [`build_dag`] takes its read
+//! dependencies from the former, the STC cache fill its compute formats
+//! and reader counts from the latter, and the distributed engine and the
+//! DES task builder read both.
 
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
@@ -68,6 +74,43 @@ impl CholeskyTask {
             CholeskyTask::Syrk { m, .. } => (m, m),
             CholeskyTask::Gemm { m, n, .. } => (m, n),
         }
+    }
+
+    /// The tiles this task reads after another task finalized them (its
+    /// in-place output tile aside): TRSM reads `L(k,k)`, SYRK reads panel
+    /// tile `(m,k)`, GEMM reads panel tiles `(m,k)` and `(n,k)`. Together
+    /// with [`CholeskyTask::readers`] this is the one statement of
+    /// Algorithm 1's read edges.
+    pub fn inputs(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (a, b) = match *self {
+            CholeskyTask::Potrf { .. } => (None, None),
+            CholeskyTask::Trsm { k, .. } => (Some((k, k)), None),
+            CholeskyTask::Syrk { m, k } => (Some((m, k)), None),
+            CholeskyTask::Gemm { m, n, k } => (Some((m, k)), Some((n, k))),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// The tasks of an `nt × nt` factorization that read this task's output
+    /// (the inverse of [`CholeskyTask::inputs`]): POTRF(k) feeds the TRSMs
+    /// of column `k`; TRSM(m,k) feeds SYRK(m,k), the row-`m` GEMMs
+    /// `(m, n)` and the column-`m` GEMMs `(i, m)`. SYRK and GEMM outputs
+    /// are only read by the next in-place update of the same tile.
+    pub fn readers(&self, nt: usize) -> impl Iterator<Item = CholeskyTask> {
+        let (potrf, trsm) = match *self {
+            CholeskyTask::Potrf { k } => (Some(k), None),
+            CholeskyTask::Trsm { m, k } => (None, Some((m, k))),
+            _ => (None, None),
+        };
+        let trsms = potrf
+            .into_iter()
+            .flat_map(move |k| ((k + 1)..nt).map(move |m| CholeskyTask::Trsm { m, k }));
+        let updates = trsm.into_iter().flat_map(move |(m, k)| {
+            std::iter::once(CholeskyTask::Syrk { m, k })
+                .chain(((k + 1)..m).map(move |n| CholeskyTask::Gemm { m, n, k }))
+                .chain(((m + 1)..nt).map(move |i| CholeskyTask::Gemm { m: i, n: m, k }))
+        });
+        trsms.chain(updates)
     }
 }
 
@@ -133,53 +176,31 @@ pub fn build_dag_with_costs(nt: usize, costs: &KernelCosts) -> CholeskyDag {
     // last writer of each tile (lower-packed)
     let mut last_write: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
     let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
-    // the task that finalized panel tile (m, k) (its TRSM), for reader deps
-    let mut trsm_of: Vec<Option<TaskId>> = vec![None; nt * (nt + 1) / 2];
-
+    let mut add = |t: CholeskyTask| {
+        // Read edges: a task's inputs are final once written (POTRF and
+        // TRSM are the last writers of their tiles), so each read depends
+        // on the input's last writer; the in-place update then serializes
+        // behind the previous writer of the output tile.
+        let (oi, oj) = t.output_tile();
+        let prev = last_write[idx(oi, oj)];
+        let mut deps = Vec::with_capacity(3);
+        deps.extend(
+            t.inputs()
+                .map(|(i, j)| last_write[idx(i, j)].expect("input read before it is written")),
+        );
+        deps.extend(prev);
+        last_write[idx(oi, oj)] = Some(graph.add_task_with_affinity(deps, 0, prev));
+        tasks.push(t);
+    };
     for k in 0..nt {
-        // POTRF(k, k)
-        let mut deps = Vec::new();
-        let prev = last_write[idx(k, k)];
-        if let Some(w) = prev {
-            deps.push(w);
-        }
-        let potrf = graph.add_task_with_affinity(deps, 0, prev);
-        tasks.push(CholeskyTask::Potrf { k });
-        last_write[idx(k, k)] = Some(potrf);
-
+        add(CholeskyTask::Potrf { k });
         for m in (k + 1)..nt {
-            // TRSM(m, k): reads L(k,k), updates (m,k) in place
-            let mut deps = vec![potrf];
-            let prev = last_write[idx(m, k)];
-            if let Some(w) = prev {
-                deps.push(w);
-            }
-            let trsm = graph.add_task_with_affinity(deps, 0, prev);
-            tasks.push(CholeskyTask::Trsm { m, k });
-            last_write[idx(m, k)] = Some(trsm);
-            trsm_of[idx(m, k)] = Some(trsm);
+            add(CholeskyTask::Trsm { m, k });
         }
         for m in (k + 1)..nt {
-            // SYRK(m, k): reads (m,k), updates (m,m)
-            let mut deps = vec![trsm_of[idx(m, k)].unwrap()];
-            let prev = last_write[idx(m, m)];
-            if let Some(w) = prev {
-                deps.push(w);
-            }
-            let syrk = graph.add_task_with_affinity(deps, 0, prev);
-            tasks.push(CholeskyTask::Syrk { m, k });
-            last_write[idx(m, m)] = Some(syrk);
-
-            // GEMM(m, n, k) for n in k+1..m: reads (m,k), (n,k); updates (m,n)
+            add(CholeskyTask::Syrk { m, k });
             for n in (k + 1)..m {
-                let mut deps = vec![trsm_of[idx(m, k)].unwrap(), trsm_of[idx(n, k)].unwrap()];
-                let prev = last_write[idx(m, n)];
-                if let Some(w) = prev {
-                    deps.push(w);
-                }
-                let gemm = graph.add_task_with_affinity(deps, 0, prev);
-                tasks.push(CholeskyTask::Gemm { m, n, k });
-                last_write[idx(m, n)] = Some(gemm);
+                add(CholeskyTask::Gemm { m, n, k });
             }
         }
     }
@@ -633,12 +654,9 @@ fn run_attempt(
     // tile's TRSM (its final writer) and read by its GEMM consumers.
     type Slots = [Option<Arc<ComputeBuf>>; N_COMPUTE_FORMATS];
     let caches: Vec<Mutex<Slots>> = (0..ncells).map(|_| Mutex::new(Slots::default())).collect();
-    // GEMM reads remaining per panel tile (m,k): A-operand of GEMM(m,n,k)
-    // for n in k+1..m, B-operand of GEMM(m',m,k) for m' in m+1..nt.
-    let readers: Vec<AtomicU64> = (0..nt)
-        .flat_map(|i| (0..=i).map(move |j| (i, j)))
-        .map(|(i, j)| AtomicU64::new(if i > j { (nt - j - 2) as u64 } else { 0 }))
-        .collect();
+    // GEMM reads remaining per panel tile, set by the tile's TRSM from its
+    // readers before any of them can run.
+    let readers: Vec<AtomicU64> = (0..ncells).map(|_| AtomicU64::new(0)).collect();
     let conv_performed = AtomicU64::new(0);
     let conv_avoided = AtomicU64::new(0);
     let conv_bytes_avoided = AtomicU64::new(0);
@@ -709,31 +727,26 @@ fn run_attempt(
                 // compute format a downstream GEMM will read it in. No GEMM
                 // consumer can run before this task completes, so filling
                 // the cache here is race-free.
-                if readers[ti].load(Ordering::Acquire) > 0 {
-                    let mut needed: [Option<Precision>; N_COMPUTE_FORMATS] =
-                        [None; N_COMPUTE_FORMATS];
-                    for nn in (k + 1)..m {
-                        let p = pmap.kernel(m, nn);
-                        if let Some(s) = compute_format_index(p) {
-                            needed[s] = Some(p);
-                        }
+                let mut gemm_readers = 0;
+                let mut needed: [Option<Precision>; N_COMPUTE_FORMATS] = [None; N_COMPUTE_FORMATS];
+                for r in t.readers(nt).filter(|r| r.kind() == KernelKind::Gemm) {
+                    gemm_readers += 1;
+                    let (i, j) = r.output_tile();
+                    let p = pmap.kernel(i, j);
+                    if let Some(s) = compute_format_index(p) {
+                        needed[s] = Some(p);
                     }
-                    for mm in (m + 1)..nt {
-                        let p = pmap.kernel(mm, m);
-                        if let Some(s) = compute_format_index(p) {
-                            needed[s] = Some(p);
-                        }
-                    }
-                    if needed.iter().any(|p| p.is_some()) {
-                        let b = read_pt(&cells[ti]);
-                        let mut slots = lock_pt(&caches[ti]);
-                        for (s, p) in needed.iter().enumerate() {
-                            if let Some(p) = p {
-                                let buf = Arc::new(make_compute_buf(*p, &b));
-                                obs::instant(obs::EventKind::Convert, buf.bytes() as u64);
-                                slots[s] = Some(buf);
-                                conv_performed.fetch_add(1, Ordering::Relaxed);
-                            }
+                }
+                readers[ti].store(gemm_readers, Ordering::Release);
+                if needed.iter().any(|p| p.is_some()) {
+                    let b = read_pt(&cells[ti]);
+                    let mut slots = lock_pt(&caches[ti]);
+                    for (s, p) in needed.iter().enumerate() {
+                        if let Some(p) = p {
+                            let buf = Arc::new(make_compute_buf(*p, &b));
+                            obs::instant(obs::EventKind::Convert, buf.bytes() as u64);
+                            slots[s] = Some(buf);
+                            conv_performed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }

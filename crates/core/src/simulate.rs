@@ -3,21 +3,29 @@
 //! scenarios).
 //!
 //! Tiles are distributed 2D block-cyclically over all GPUs of the cluster
-//! (owner-computes, §VII-A); every dependency payload carries the wire
-//! precision chosen by the conversion strategy:
+//! (owner-computes, §VII-A): each task of [`build_dag`] runs on the GPU
+//! owning its output tile, and its payloads are its
+//! [`CholeskyTask::inputs`], each framed exactly as the distributed engine
+//! ships it ([`framed_tile_bytes`] at [`crate::ConversionPlan::wire`]). For
+//! the same map and grid the DES therefore moves the bytes
+//! [`crate::factorize_mp_distributed`] measures, less the message headers
+//! the engine saves by coalescing frames per link. The wire policy decides
+//! where conversions happen:
 //!
-//! * [`Strategy::Ttc`] — payloads ship at the producer tile's storage
+//! * [`WirePolicy::Ttc`] — payloads ship at the producer tile's storage
 //!   precision; every consumer whose kernel wants a different input format
 //!   pays a conversion on its own compute stream (per task).
-//! * [`Strategy::Auto`] — Algorithm 2's plan: where STC applies, the
+//! * [`WirePolicy::Auto`] — Algorithm 2's plan: where STC applies, the
 //!   producer converts once and payloads shrink to the planned wire
 //!   precision; consumers read it directly.
+//! * [`WirePolicy::AlwaysLowest`] — every broadcast is converted to FP16
+//!   at its producer.
 
-use crate::conversion::{plan_conversions, ConversionPlan, Strategy};
+use crate::conversion::{plan_conversions, WirePolicy};
 use crate::factorize::{build_dag, CholeskyTask};
 use crate::precision_map::PrecisionMap;
 use crate::wire::{framed_tile_bytes, Packing};
-use mixedp_fp::{comm_of_storage, comm_requirement, CommPrecision, Precision};
+use mixedp_fp::{comm_of_storage, comm_requirement, Precision};
 use mixedp_gpusim::{ClusterSpec, SimConfig, SimInput, SimKernel, SimReport, SimTask, Simulator};
 use mixedp_kernels::trsm_effective_precision;
 use mixedp_tile::Grid2d;
@@ -26,7 +34,8 @@ use mixedp_tile::Grid2d;
 #[derive(Debug, Clone, Copy)]
 pub struct CholeskySimOptions {
     pub nb: usize,
-    pub strategy: Strategy,
+    /// Wire policy of the POTRF/TRSM broadcasts.
+    pub strategy: WirePolicy,
 }
 
 /// Map `CholeskyTask` kernels onto simulator kernel classes.
@@ -37,57 +46,6 @@ fn sim_kind(t: &CholeskyTask) -> SimKernel {
         CholeskyTask::Syrk { .. } => SimKernel::Syrk,
         CholeskyTask::Gemm { .. } => SimKernel::Gemm,
     }
-}
-
-/// Wire precision of broadcasts from tile `(i, j)` under a strategy.
-fn wire_of(
-    plan: &ConversionPlan,
-    pmap: &PrecisionMap,
-    strategy: Strategy,
-    i: usize,
-    j: usize,
-) -> CommPrecision {
-    match strategy {
-        Strategy::Ttc => comm_of_storage(pmap.storage(i, j)),
-        Strategy::Auto => plan.comm(i, j),
-    }
-}
-
-/// Build a [`SimInput`] for a consumer reading tile `(i, j)` with kernel
-/// input requirement `req`.
-///
-/// The payload size is the *real* packed-wire message size
-/// ([`framed_tile_bytes`]): message + frame headers plus the fused
-/// convert-and-pack payload — lower-triangle-packed when the tile is a
-/// factored diagonal block (`i == j`), exactly what the distributed engine
-/// ships.
-#[allow(clippy::too_many_arguments)]
-fn input_for(
-    plan: &ConversionPlan,
-    pmap: &PrecisionMap,
-    strategy: Strategy,
-    tile_id: u32,
-    i: usize,
-    j: usize,
-    req: CommPrecision,
-    nb: usize,
-) -> SimInput {
-    let wire = wire_of(plan, pmap, strategy, i, j);
-    let packing = if i == j {
-        Packing::Lower
-    } else {
-        Packing::Full
-    };
-    let mut inp = SimInput::plain(tile_id, framed_tile_bytes(nb, nb, wire, packing) as u64);
-    if wire != req {
-        // Receiver-side conversion (down-cast under TTC, widening for the
-        // FP64 diagonal kernels under either strategy) — one element per
-        // packed payload slot.
-        inp.recv_convert_elems = packing.elems(nb, nb) as u64;
-        inp.recv_convert_from = wire.bytes();
-        inp.recv_convert_to = req.bytes();
-    }
-    inp
 }
 
 /// Build the simulator task list for an `nt × nt` tile Cholesky.
@@ -110,25 +68,16 @@ pub fn build_sim_tasks(
     let mut sim_tasks = Vec::with_capacity(dag.tasks.len());
     for (id, t) in dag.tasks.iter().enumerate() {
         let node = dag.graph.node(id);
-        let (out_i, out_j, gpu) = match *t {
-            CholeskyTask::Potrf { k } => (k, k, grid.rank_of(k, k)),
-            CholeskyTask::Trsm { m, k } => (m, k, grid.rank_of(m, k)),
-            CholeskyTask::Syrk { m, .. } => (m, m, grid.rank_of(m, m)),
-            CholeskyTask::Gemm { m, n, .. } => (m, n, grid.rank_of(m, n)),
-        };
-        let out_storage = pmap.storage(out_i, out_j);
-        // Under the automated plan, an STC sender (POTRF/TRSM) keeps its
-        // output in the *communication* form on device: the one sender-side
-        // conversion produces the copy every consumer (and every eviction /
-        // refetch) then uses — this is where STC's data-motion savings come
-        // from. Non-senders and TTC tiles stay at storage precision.
-        let is_sender = matches!(t, CholeskyTask::Potrf { .. } | CholeskyTask::Trsm { .. });
-        let stc_sender = opts.strategy == Strategy::Auto && is_sender && plan.is_stc(out_i, out_j);
-        let out_bytes = if stc_sender {
-            elems * plan.comm(out_i, out_j).bytes() as u64
-        } else {
-            elems * out_storage.bytes() as u64
-        };
+        let (out_i, out_j) = t.output_tile();
+        let storage = comm_of_storage(pmap.storage(out_i, out_j));
+        let wire = plan.wire(pmap, opts.strategy, out_i, out_j);
+        // A broadcast whose wire format is below storage is an STC sender:
+        // it converts once after its kernel and keeps its output in the
+        // communication form on device — the copy every consumer (and every
+        // eviction / refetch) then uses, which is where STC's data-motion
+        // savings come from. Non-senders stay at storage precision.
+        let stc_sender = t.readers(nt).next().is_some() && wire < storage;
+        let out_bytes = elems * if stc_sender { wire } else { storage }.bytes() as u64;
 
         // Kernel execution precision.
         let precision = match *t {
@@ -137,92 +86,51 @@ pub fn build_sim_tasks(
             CholeskyTask::Gemm { m, n, .. } => pmap.kernel(m, n),
         };
 
-        // Inputs: communicated payloads plus the in-place output tile (its
-        // pre-update content is at storage precision).
-        let in_place_bytes = elems * out_storage.bytes() as u64;
-        let mut inputs = Vec::new();
-        match *t {
-            CholeskyTask::Potrf { k } => {
-                // in-place on (k,k); first iteration reads the generated tile
-                inputs.push(SimInput::plain(tile_id(k, k), in_place_bytes));
-            }
-            CholeskyTask::Trsm { m, k } => {
-                let req = comm_requirement(precision);
-                inputs.push(input_for(
-                    &plan,
-                    pmap,
-                    opts.strategy,
-                    tile_id(k, k),
-                    k,
-                    k,
-                    req,
-                    nb,
-                ));
-                inputs.push(SimInput::plain(tile_id(m, k), in_place_bytes));
-            }
-            CholeskyTask::Syrk { m, k } => {
-                // DSYRK reads the panel tile at FP64 (widening conversion
-                // from whatever the wire carries).
-                let req = CommPrecision::Fp64;
-                inputs.push(input_for(
-                    &plan,
-                    pmap,
-                    opts.strategy,
-                    tile_id(m, k),
-                    m,
-                    k,
-                    req,
-                    nb,
-                ));
-                inputs.push(SimInput::plain(tile_id(m, m), out_bytes));
-            }
-            CholeskyTask::Gemm { m, n, k } => {
-                let req = comm_requirement(precision);
-                inputs.push(input_for(
-                    &plan,
-                    pmap,
-                    opts.strategy,
-                    tile_id(m, k),
-                    m,
-                    k,
-                    req,
-                    nb,
-                ));
-                inputs.push(input_for(
-                    &plan,
-                    pmap,
-                    opts.strategy,
-                    tile_id(n, k),
-                    n,
-                    k,
-                    req,
-                    nb,
-                ));
-                inputs.push(SimInput::plain(tile_id(m, n), out_bytes));
-            }
-        }
+        // Inputs: the communicated payloads, then the in-place output tile
+        // (its pre-update content is at storage precision).
+        let req = comm_requirement(precision);
+        let mut inputs: Vec<SimInput> = t
+            .inputs()
+            .map(|(i, j)| {
+                let w = plan.wire(pmap, opts.strategy, i, j);
+                let packing = Packing::of_tile(i, j);
+                let mut inp =
+                    SimInput::plain(tile_id(i, j), framed_tile_bytes(nb, nb, w, packing) as u64);
+                if w != req {
+                    // Receiver-side conversion (down-cast under TTC,
+                    // widening for the FP64 diagonal kernels under either
+                    // policy) — one element per packed payload slot.
+                    inp.recv_convert_elems = packing.elems(nb, nb) as u64;
+                    inp.recv_convert_from = w.bytes();
+                    inp.recv_convert_to = req.bytes();
+                }
+                inp
+            })
+            .collect();
+        inputs.push(SimInput::plain(
+            tile_id(out_i, out_j),
+            elems * storage.bytes() as u64,
+        ));
 
-        // Sender-side conversion under the automated plan (STC tiles only):
-        // charged once on the producing POTRF/TRSM.
-        let mut send_convert = (0u64, 0usize, 0usize);
-        if stc_sender {
-            let storage = comm_of_storage(pmap.storage(out_i, out_j));
-            let wire = plan.comm(out_i, out_j);
-            send_convert = (elems, storage.bytes(), wire.bytes());
-        }
+        // Sender-side conversion, charged once on the producing task.
+        let (send_elems, send_from, send_to) = if stc_sender {
+            (elems, storage.bytes(), wire.bytes())
+        } else {
+            (0, 0, 0)
+        };
 
         sim_tasks.push(SimTask {
             deps: node.deps.iter().map(|&d| d as u32).collect(),
-            gpu: gpu as u32,
+            gpu: grid.rank_of(out_i, out_j) as u32,
             kind: sim_kind(t),
             precision,
             nb,
             inputs,
             out_tile: tile_id(out_i, out_j),
             out_bytes,
-            send_convert_elems: send_convert.0,
-            send_convert_from: send_convert.1,
-            send_convert_to: send_convert.2,
+            send_convert_elems: send_elems,
+            send_convert_from: send_from,
+            send_convert_to: send_to,
             priority: node.priority,
         });
     }
@@ -263,7 +171,7 @@ mod tests {
         ClusterSpec::new(NodeSpec::summit().single_gpu(), 1)
     }
 
-    fn opts(strategy: Strategy) -> CholeskySimOptions {
+    fn opts(strategy: WirePolicy) -> CholeskySimOptions {
         CholeskySimOptions { nb: 2048, strategy }
     }
 
@@ -275,7 +183,7 @@ mod tests {
         let rep = simulate_cholesky(
             &uniform_map(nt, Precision::Fp64),
             &v100_1gpu(),
-            opts(Strategy::Auto),
+            opts(WirePolicy::Auto),
         );
         let eff = rep.tflops() / 7.8;
         assert!(eff > 0.80 && eff <= 1.0, "FP64 efficiency {eff}");
@@ -288,8 +196,8 @@ mod tests {
         let nt = 24;
         let m = uniform_map(nt, Precision::Fp16);
         let cl = v100_1gpu();
-        let t_ttc = simulate_cholesky(&m, &cl, opts(Strategy::Ttc)).makespan_s;
-        let t_stc = simulate_cholesky(&m, &cl, opts(Strategy::Auto)).makespan_s;
+        let t_ttc = simulate_cholesky(&m, &cl, opts(WirePolicy::Ttc)).makespan_s;
+        let t_stc = simulate_cholesky(&m, &cl, opts(WirePolicy::Auto)).makespan_s;
         let speedup = t_ttc / t_stc;
         assert!(speedup > 1.05, "STC speedup {speedup}");
         assert!(speedup < 2.5, "speedup suspiciously large: {speedup}");
@@ -299,10 +207,18 @@ mod tests {
     fn mixed_precision_beats_fp64() {
         let nt = 16;
         let cl = v100_1gpu();
-        let t64 = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cl, opts(Strategy::Auto))
-            .makespan_s;
-        let t16 = simulate_cholesky(&uniform_map(nt, Precision::Fp16), &cl, opts(Strategy::Auto))
-            .makespan_s;
+        let t64 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp64),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .makespan_s;
+        let t16 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp16),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .makespan_s;
         assert!(t64 / t16 > 3.0, "FP64/FP16 speedup {}", t64 / t16);
     }
 
@@ -314,8 +230,8 @@ mod tests {
         let nt = 48;
         let m = uniform_map(nt, Precision::Fp16);
         let cl = v100_1gpu();
-        let ttc = simulate_cholesky(&m, &cl, opts(Strategy::Ttc));
-        let stc = simulate_cholesky(&m, &cl, opts(Strategy::Auto));
+        let ttc = simulate_cholesky(&m, &cl, opts(WirePolicy::Ttc));
+        let stc = simulate_cholesky(&m, &cl, opts(WirePolicy::Auto));
         assert!(
             stc.h2d_bytes < ttc.h2d_bytes,
             "STC h2d {} vs TTC {}",
@@ -333,8 +249,8 @@ mod tests {
         let m = uniform_map(nt, Precision::Fp64);
         let one = ClusterSpec::new(NodeSpec::summit().single_gpu(), 1);
         let six = ClusterSpec::new(NodeSpec::summit(), 1);
-        let t1 = simulate_cholesky(&m, &one, opts(Strategy::Auto)).makespan_s;
-        let t6 = simulate_cholesky(&m, &six, opts(Strategy::Auto)).makespan_s;
+        let t1 = simulate_cholesky(&m, &one, opts(WirePolicy::Auto)).makespan_s;
+        let t6 = simulate_cholesky(&m, &six, opts(WirePolicy::Auto)).makespan_s;
         let s = t1 / t6;
         assert!(s > 3.0 && s <= 6.5, "6-GPU speedup {s}");
     }
@@ -343,7 +259,7 @@ mod tests {
     fn cross_node_traffic_appears_only_with_multiple_nodes() {
         let nt = 12;
         let m = uniform_map(nt, Precision::Fp64);
-        let o = opts(Strategy::Auto);
+        let o = opts(WirePolicy::Auto);
         let rep1 = simulate_cholesky(&m, &ClusterSpec::summit(1), o);
         assert_eq!(rep1.nic_bytes, 0);
         let rep2 = simulate_cholesky(&m, &ClusterSpec::summit(2), o);
@@ -354,10 +270,18 @@ mod tests {
     fn energy_lower_for_mixed_precision() {
         let nt = 16;
         let cl = v100_1gpu();
-        let e64 = simulate_cholesky(&uniform_map(nt, Precision::Fp64), &cl, opts(Strategy::Auto))
-            .energy_joules();
-        let e16 = simulate_cholesky(&uniform_map(nt, Precision::Fp16), &cl, opts(Strategy::Auto))
-            .energy_joules();
+        let e64 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp64),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .energy_joules();
+        let e16 = simulate_cholesky(
+            &uniform_map(nt, Precision::Fp16),
+            &cl,
+            opts(WirePolicy::Auto),
+        )
+        .energy_joules();
         assert!(e16 < e64 / 2.0, "energy {e16} vs {e64}");
     }
 
@@ -365,7 +289,7 @@ mod tests {
     fn task_and_tile_counts() {
         let nt = 6;
         let m = uniform_map(nt, Precision::Fp32);
-        let (tasks, initial) = build_sim_tasks(&m, &v100_1gpu(), opts(Strategy::Auto));
+        let (tasks, initial) = build_sim_tasks(&m, &v100_1gpu(), opts(WirePolicy::Auto));
         assert_eq!(
             tasks.len(),
             nt + nt * (nt - 1) + nt * (nt - 1) * (nt - 2) / 6

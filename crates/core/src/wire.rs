@@ -70,6 +70,16 @@ pub enum Packing {
 }
 
 impl Packing {
+    /// Layout of tile `(i, j)`'s broadcast: the factored diagonal blocks
+    /// POTRF sends are lower triangular, every panel tile is full.
+    pub fn of_tile(i: usize, j: usize) -> Packing {
+        if i == j {
+            Packing::Lower
+        } else {
+            Packing::Full
+        }
+    }
+
     /// Header tag byte.
     pub const fn tag(self) -> u8 {
         match self {

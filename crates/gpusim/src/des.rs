@@ -10,10 +10,11 @@
 //! asynchronous dependency-driven execution of the runtime: compute overlaps
 //! transfers, tasks fire when their inputs arrive.
 //!
-//! The payload of every dependency is precision-tagged (`wire_bytes`), and
-//! datatype conversions are charged to the sender's stream (STC, once) or
-//! each receiver's stream (TTC, per consuming task) — the mechanism whose
-//! effect Figs 8, 11, 12 measure.
+//! The payload of every dependency is precision-tagged (`wire_bytes`, what a
+//! peer or network transfer moves to the consumer), and datatype
+//! conversions are charged to the sender's stream (STC, once) or each
+//! receiver's stream (TTC, per consuming task) — the mechanism whose effect
+//! Figs 8, 11, 12 measure.
 
 use crate::machine::ClusterSpec;
 use crate::model::{self, SimKernel};
@@ -316,11 +317,13 @@ impl Simulator {
                                 sg,
                             )
                         })
-                        .map(|(&sg, &b)| (sg, b));
+                        .map(|(&sg, _)| sg);
+                    // Peer and network transfers move the consumer's
+                    // payload (`wire_bytes`), whatever the size of the copy
+                    // they relay from.
+                    let bytes = inp.wire_bytes;
                     match src {
-                        Some((sg, bytes))
-                            if self.cluster.node_of(sg as usize) as u32 == my_node =>
-                        {
+                        Some(sg) if self.cluster.node_of(sg as usize) as u32 == my_node => {
                             // Intra-node peer transfer.
                             let dur = model::link_time_s(bytes, node_spec.p2p_gbs, 5e-6);
                             let s = gpus[g].h2d_free.max(avail);
@@ -328,7 +331,7 @@ impl Simulator {
                             p2p_bytes += bytes;
                             arrival = s + dur;
                         }
-                        Some((sg, bytes)) => {
+                        Some(sg) => {
                             // Remote node: src D2H, then across the fabric
                             // (non-blocking sends — RDMA/fat-tree; ingestion
                             // serializes on the receiver's NIC), then H2D.

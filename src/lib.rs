@@ -62,7 +62,7 @@ pub use mixedp_tile as tile;
 pub mod prelude {
     pub use mixedp_core::{
         factorize_mp, plan_conversions, simulate_cholesky, uniform_map, CholeskySimOptions,
-        MpBackend, PrecisionMap, Strategy,
+        MpBackend, PrecisionMap, WirePolicy,
     };
     pub use mixedp_fp::{CommPrecision, Precision, StoragePrecision};
     pub use mixedp_geostats::covariance::covariance_entry;

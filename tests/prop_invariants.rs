@@ -118,7 +118,7 @@ proptest! {
     #[test]
     fn simulation_sanity(nt in 4usize..=16) {
         let cluster = ClusterSpec::new(NodeSpec::summit().single_gpu(), 1);
-        let o = CholeskySimOptions { nb: 2048, strategy: mixedp::core::Strategy::Auto };
+        let o = CholeskySimOptions { nb: 2048, strategy: mixedp::core::WirePolicy::Auto };
         let a = simulate_cholesky(&uniform_map(nt, Precision::Fp32), &cluster, o);
         let b = simulate_cholesky(&uniform_map(nt + 2, Precision::Fp32), &cluster, o);
         prop_assert!(b.makespan_s > a.makespan_s);
