@@ -2,26 +2,28 @@
 //! changes can track the perf trajectory of the dense data path.
 //!
 //! Measures, on raw row-major buffers:
-//!   * cache-blocked `gemm_nt_f64` vs the naive `reference_gemm_nt_f64`
+//!   * lane-wide `gemm_nt_f64` vs the naive `reference_gemm_nt_f64`
 //!     (GFLOP/s each, plus the speedup ratio),
-//!   * cache-blocked `syrk_ln_f64` vs its reference,
+//!   * lane-wide `syrk_ln_f64` vs its reference,
 //!   * blocked `potrf_blocked_f64`,
 //!
 //! and, on the tile path, the steady-state workspace reallocation count per
 //! task (the allocation-free invariant: must be 0 after warmup), plus tile
-//! GEMM GFLOP/s for every kernel precision at nb ∈ {128, 256} (operands in
-//! their storage format, quantized inside the call, serial kernel).
+//! GEMM GFLOP/s for every kernel precision and tile TRSM GFLOP/s for FP64 and
+//! FP32 at nb ∈ {128, 256} (operands in their storage format, quantized
+//! inside the call, serial kernel). The file is stamped with the host
+//! fingerprint (CPU model, SIMD flags, nproc, rustc, git revision).
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_kernels`
 //! Options: `--n=256 --reps=7 --out=BENCH_kernels.json`
 
-use mixedp_bench::timing::{median_secs, pseudo};
+use mixedp_bench::timing::{host_fingerprint_json, median_secs, pseudo};
 use mixedp_bench::Args;
 use mixedp_core::wire::{pack_tile_into, quantize_through_wire, reference_through_wire, Packing};
 use mixedp_fp::{storage_precision_of, CommPrecision, Precision, StoragePrecision};
 use mixedp_kernels::{
-    blas, gemm_tile_ws, potrf_blocked_f64, reference_gemm_nt_f64, reference_potrf_f64,
-    reference_syrk_ln_f64, Workspace,
+    blas, gemm_tile_ws, potrf_blocked_f64, potrf_tile_ws, reference_gemm_nt_f64,
+    reference_potrf_f64, reference_syrk_ln_f64, trsm_tile_ws, Workspace,
 };
 use mixedp_tile::Tile;
 
@@ -141,6 +143,37 @@ fn main() {
         }
     }
 
+    // Tile TRSM (`X Lᵀ = B`) at the two precisions it executes in; L is the
+    // factor of a diagonally dominant tile, both tiles in storage format.
+    let mut trsm_rows: Vec<(Precision, usize, f64)> = Vec::new();
+    for nb in [128, 256] {
+        let mut d = pseudo(nb * nb, 8);
+        for i in 0..nb {
+            for j in 0..i {
+                d[j * nb + i] = d[i * nb + j];
+            }
+            d[i * nb + i] += nb as f64;
+        }
+        let mut l = Tile::from_f64(nb, nb, &d, StoragePrecision::F64);
+        potrf_tile_ws(&mut l, &mut ws, false).expect("diagonally dominant tile is SPD");
+        for p in [Precision::Fp64, Precision::Fp32] {
+            let sp = storage_precision_of(p);
+            let lp = Tile::from_f64(nb, nb, &l.to_f64(), sp);
+            let b_init = pseudo(nb * nb, 9);
+            let mut tb = Tile::from_f64(nb, nb, &b_init, sp);
+            let t = median_secs(reps, || {
+                tb.store_f64(&b_init);
+                trsm_tile_ws(p, &lp, &mut tb, &mut ws, false);
+            });
+            let gflops = (nb * nb * nb) as f64 / t / 1e9;
+            println!(
+                "tile trsm {:<8} nb={nb:<4} {gflops:>8.2} GFLOP/s",
+                p.label()
+            );
+            trsm_rows.push((p, nb, gflops));
+        }
+    }
+
     // Conversion / pack throughput: the wire engine's fused one-pass
     // quantization vs the old two-pass (narrow Tile then widen) route, plus
     // the fused convert-and-pack itself, per wire precision.
@@ -178,6 +211,7 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
+    json.push_str(&format!("  \"host\": {},\n", host_fingerprint_json()));
     json.push_str(&format!("  \"n\": {n},\n  \"reps\": {reps},\n"));
     json.push_str("  \"kernels\": {\n");
     for (i, e) in entries.iter().enumerate() {
@@ -200,6 +234,15 @@ fn main() {
     json.push_str("  \"tile_gemm_gflops\": {\n");
     for (i, (p, nb, gflops)) in tile_rows.iter().enumerate() {
         let comma = if i + 1 == tile_rows.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    \"{}_nb{nb}\": {gflops:.4}{comma}\n",
+            p.label()
+        ));
+    }
+    json.push_str("  },\n");
+    json.push_str("  \"tile_trsm_gflops\": {\n");
+    for (i, (p, nb, gflops)) in trsm_rows.iter().enumerate() {
+        let comma = if i + 1 == trsm_rows.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"{}_nb{nb}\": {gflops:.4}{comma}\n",
             p.label()

@@ -69,6 +69,43 @@ pub fn scan_json_f64(json: &str, section: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The host a snapshot was measured on, as a JSON object: CPU model, the
+/// SIMD flags the kernels care about, available parallelism, `rustc`
+/// version and the checkout's git revision, `-dirty` when the tree has
+/// uncommitted changes ("unknown" where unavailable).
+pub fn host_fingerprint_json() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|l| l.split(':').next().is_some_and(|k| k.trim() == key))
+            .and_then(|l| l.split_once(':'))
+            .map(|(_, v)| v.trim().to_string())
+    };
+    let model = field("model name").unwrap_or_else(|| "unknown".into());
+    let flags = field("flags").unwrap_or_default();
+    let simd: Vec<String> = ["avx2", "fma", "f16c", "avx512f", "avx512fp16"]
+        .iter()
+        .map(|f| format!("\"{f}\": {}", flags.split_whitespace().any(|x| x == *f)))
+        .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into())
+    };
+    let rustc = run("rustc", &["--version"]);
+    let git = run("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+    format!(
+        "{{\"cpu_model\": \"{model}\", \"simd\": {{{}}}, \"nproc\": {nproc}, \"rustc\": \"{rustc}\", \"git_sha\": \"{git}\"}}",
+        simd.join(", ")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

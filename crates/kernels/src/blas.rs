@@ -8,33 +8,38 @@
 //! * `gemm_nt`: `C ← C − A Bᵀ` (the trailing-update `alpha = −1, beta = 1`
 //!   form; general `alpha/beta` GEMM is [`gemm_full_f64`]).
 //!
-//! # Blocked data path
+//! # Lane-wide data path
 //!
-//! GEMM and SYRK run a cache-blocked, register-blocked algorithm: a
-//! `MR × NR` micro-kernel keeps a 4×4 accumulator block in registers and
-//! reuses every loaded A/B element four times, wrapped in `KC`-deep k-blocks
-//! and `MC × NC` cache blocks. The row-major NT layout means both operands
-//! are already k-contiguous per row ("pre-packed"), so no packing copies —
-//! and no heap allocation — are needed.
+//! GEMM and SYRK share one packed-B kernel: B is packed once per call into
+//! k-major panels one 512-bit row wide (8 columns of f64, 16 of f32), and
+//! each register block is up to 4 rows of A times one panel, `4 × W`
+//! accumulators with one SIMD lane per column of C. SYRK is the same kernel
+//! masked to the lower triangle. TRSM is row-lane: a group of rows of B is
+//! transposed into a k-major scratch panel, so each lane runs one row's
+//! forward substitution. Pack and transpose buffers come from the caller's
+//! [`Workspace`] (`bt64` / `bt32`), so the steady state allocates nothing.
 //!
-//! **Bit-exactness contract.** For `k ≤ KC` the blocked kernels produce
+//! **Bit-exactness contract.** For `k ≤ KC` the lane-wide kernels produce
 //! results *bit-identical* to the naive row-dot `reference_*` kernels: each
-//! accumulator sums its products in increasing-`t` order starting from
-//! `+0.0`, and `C` receives a single subtraction per k-block — the exact
-//! operation sequence of `c -= aᵢ·bⱼ`. Zero-padded edge lanes are discarded
-//! before write-back and cannot perturb real lanes. The k-block (`pc`) loop
-//! is outermost so this order is preserved under `MC`/`NC` blocking, and the
-//! parallel path stripes whole rows of C, which keeps every per-element
-//! operation sequence unchanged. Tile kernels always have `k = nb ≤ KC`, so
-//! mixed-precision factorizations are reproducible serial-vs-parallel and
-//! blocked-vs-reference.
+//! output element sums its products in increasing `t` starting from `−0.0`
+//! (where `Iterator::sum` starts, so signed zeros agree), and receives one
+//! subtraction (TRSM: one subtraction, then one division) — the exact
+//! operation sequence of the oracle, per lane. rustc never contracts to FMA,
+//! so every lane rounds exactly as the scalar code does. Zero-padded edge
+//! lanes are discarded before write-back. The k-block (`pc`) loop is
+//! outermost, and the parallel path stripes whole rows of C (or B), which
+//! keeps every per-element operation sequence unchanged. Tile kernels
+//! always have `k = nb ≤ KC`, so mixed-precision factorizations are
+//! reproducible serial-vs-parallel and lane-wide-vs-reference.
 //!
 //! Every large kernel has a `*_p` variant with an explicit `parallel: bool`;
 //! the scheduler passes `false` when it already runs tasks on several
 //! workers, which avoids nested-parallelism oversubscription. The legacy
-//! names keep the old auto-threshold behaviour.
+//! names keep the old auto-threshold behaviour. The public GEMM/SYRK/TRSM
+//! entry points stage through this thread's workspace; the tile kernels of
+//! [`crate::mp`] pass their worker's buffers to the `*_ws` forms.
 
-use crate::workspace::{with_thread_workspace, Workspace};
+use crate::workspace::{with_thread_workspace, TrackedBuf, Workspace};
 use rayon::prelude::*;
 
 /// Error: the matrix was not (numerically) symmetric positive definite.
@@ -55,183 +60,195 @@ impl std::error::Error for NotSpd {}
 /// Minimum row count before a kernel bothers spawning rayon tasks.
 const PAR_THRESHOLD: usize = 64;
 
-/// Micro-kernel register block: rows of A per micro-tile.
-pub const MR: usize = 4;
-/// Micro-kernel register block: rows of B (columns of C) per micro-tile.
-pub const NR: usize = 4;
-/// k-depth of one cache block; also the bit-exactness horizon (see module
+/// k-depth of one k-block; also the bit-exactness horizon (see module
 /// docs): `k ≤ KC` runs in a single k-block.
 pub const KC: usize = 256;
-/// Rows of C per cache block (A block is `MC × KC` ≈ 128 KiB in f64).
-pub const MC: usize = 64;
-/// Columns of C per cache block (B block is `NC × KC` ≈ 256 KiB in f64).
-pub const NC: usize = 128;
+/// Rows of A per register block.
+const MR: usize = 4;
+/// Lanes of an f64 panel: one 512-bit row of eight columns.
+pub(crate) const W64: usize = 8;
+/// Lanes of an f32 panel: one 512-bit row of sixteen columns.
+pub(crate) const W32: usize = 16;
 
-/// Zero padding for edge micro-tiles (`kc ≤ KC` always holds).
-static ZEROS_F64: [f64; KC] = [0.0; KC];
-static ZEROS_F32: [f32; KC] = [0.0; KC];
+/// The element arithmetic of the lane-wide kernels (`f64` and `f32`).
+pub(crate) trait Elem:
+    Copy
+    + Default
+    + Send
+    + Sync
+    + core::ops::Mul<Output = Self>
+    + core::ops::Sub<Output = Self>
+    + core::ops::Div<Output = Self>
+    + core::ops::AddAssign
+    + core::ops::SubAssign
+{
+    /// The start of every sum: `Iterator::sum` folds from `−0.0`, so an
+    /// all-`−0.0` dot product stays `−0.0`.
+    const NEG_ZERO: Self;
+}
 
-/// Row `i` of a `nrows × k` row-major matrix, restricted to `[pc, pc+kc)` —
-/// or the zero row when `i` falls off the edge of a partial micro-tile.
-#[inline(always)]
-fn row_or<'s, T>(
-    mat: &'s [T],
-    nrows: usize,
-    i: usize,
+impl Elem for f64 {
+    const NEG_ZERO: Self = -0.0;
+}
+
+impl Elem for f32 {
+    const NEG_ZERO: Self = -0.0;
+}
+
+/// Pack `b` (`n × k`, row-major) into `W`-wide k-major panels: panel `p`
+/// holds columns `p·W .. p·W+W` of `Bᵀ` as `k` contiguous `W`-wide rows,
+/// zero-padded past `n`. The layout every lane-wide GEMM reads, the F16C
+/// pure-FP16 one included.
+pub(crate) fn pack_b_panels<T: Copy + Default, const W: usize>(
+    b: &[T],
+    n: usize,
+    k: usize,
+    out: &mut Vec<T>,
+) {
+    assert_eq!(b.len(), n * k);
+    out.clear();
+    out.resize(n.div_ceil(W) * k * W, T::default());
+    for (j, row) in b.chunks_exact(k.max(1)).take(n).enumerate() {
+        let panel = &mut out[(j / W) * k * W..][..k * W];
+        for (t, &x) in row.iter().enumerate() {
+            panel[t * W + j % W] = x;
+        }
+    }
+}
+
+/// `R` rows of A (k-range `pc .. pc+kc`, `kc = panel.len() / W`) times one
+/// packed panel: `R × W` accumulators, each summing its products in
+/// increasing `t` from `−0.0` — the operation sequence of the row-dot
+/// oracle, one SIMD lane per column. Kept out of line: inlined into its
+/// caller, LLVM's SLP vectorizer leaves the 4-row f32 block scalar.
+#[inline(never)]
+fn block<T: Elem, const W: usize, const R: usize>(
+    a: &[T],
+    k: usize,
+    i0: usize,
+    pc: usize,
+    panel: &[T],
+) -> [[T; W]; R] {
+    let kc = panel.len() / W;
+    let rows: [&[T]; R] = std::array::from_fn(|r| &a[(i0 + r) * k + pc..][..kc]);
+    let mut acc = [[T::NEG_ZERO; W]; R];
+    for (t, bt) in panel.as_chunks::<W>().0.iter().enumerate() {
+        for (accr, row) in acc.iter_mut().zip(&rows) {
+            let x = row[t];
+            for (s, &y) in accr.iter_mut().zip(bt) {
+                *s += x * y;
+            }
+        }
+    }
+    acc
+}
+
+/// Rows `i0 .. i0+R` of an `m`-row stripe of `C ← C − A Bᵀ` against every
+/// packed panel, for the k-block at `pc`. With `lower = Some(row0)` (SYRK;
+/// `row0` is the stripe's first row of C) only `j ≤ row0 + i` is written and
+/// panels wholly above the diagonal are skipped.
+#[allow(clippy::too_many_arguments)]
+fn rows_x_panels<T: Elem, const W: usize, const R: usize>(
+    a: &[T],
+    bp: &[T],
+    c: &mut [T],
+    i0: usize,
+    n: usize,
     k: usize,
     pc: usize,
     kc: usize,
-    z: &'s [T],
-) -> &'s [T] {
-    if i < nrows {
-        &mat[i * k + pc..i * k + pc + kc]
-    } else {
-        &z[..kc]
+    lower: Option<usize>,
+) {
+    for (p, panel) in bp.chunks_exact(k * W).enumerate() {
+        let j0 = p * W;
+        if lower.is_some_and(|row0| j0 >= row0 + i0 + R) {
+            break;
+        }
+        let acc = block::<T, W, R>(a, k, i0, pc, &panel[pc * W..(pc + kc) * W]);
+        let w = W.min(n - j0);
+        for (r, accr) in acc.iter().enumerate() {
+            let cols = match lower {
+                Some(row0) => (row0 + i0 + r + 1).saturating_sub(j0).min(w),
+                None => w,
+            };
+            let crow = &mut c[(i0 + r) * n + j0..][..cols];
+            for (cij, &s) in crow.iter_mut().zip(accr) {
+                *cij -= s;
+            }
+        }
     }
 }
 
-/// The register-blocked micro-kernel: 16 independent accumulators, each
-/// summing its products in increasing-`t` order from `+0.0` — the same
-/// operation sequence as a naive dot product, which is what makes the
-/// blocked kernels bit-identical to the reference ones within a k-block.
-#[inline(always)]
-fn micro_4x4<T>(ar: [&[T]; MR], br: [&[T]; NR], kc: usize) -> [[T; NR]; MR]
-where
-    T: Copy + Default + core::ops::Mul<Output = T> + core::ops::AddAssign,
-{
-    // Exact-length reslices so the inner loop carries no bounds checks, and
-    // 16 named scalar accumulators so they stay in registers.
-    let (a0, a1, a2, a3) = (&ar[0][..kc], &ar[1][..kc], &ar[2][..kc], &ar[3][..kc]);
-    let (b0, b1, b2, b3) = (&br[0][..kc], &br[1][..kc], &br[2][..kc], &br[3][..kc]);
-    let d = T::default;
-    let (mut s00, mut s01, mut s02, mut s03) = (d(), d(), d(), d());
-    let (mut s10, mut s11, mut s12, mut s13) = (d(), d(), d(), d());
-    let (mut s20, mut s21, mut s22, mut s23) = (d(), d(), d(), d());
-    let (mut s30, mut s31, mut s32, mut s33) = (d(), d(), d(), d());
-    for t in 0..kc {
-        let (x0, x1, x2, x3) = (a0[t], a1[t], a2[t], a3[t]);
-        let (y0, y1, y2, y3) = (b0[t], b1[t], b2[t], b3[t]);
-        s00 += x0 * y0;
-        s01 += x0 * y1;
-        s02 += x0 * y2;
-        s03 += x0 * y3;
-        s10 += x1 * y0;
-        s11 += x1 * y1;
-        s12 += x1 * y2;
-        s13 += x1 * y3;
-        s20 += x2 * y0;
-        s21 += x2 * y1;
-        s22 += x2 * y2;
-        s23 += x2 * y3;
-        s30 += x3 * y0;
-        s31 += x3 * y1;
-        s32 += x3 * y2;
-        s33 += x3 * y3;
-    }
-    [
-        [s00, s01, s02, s03],
-        [s10, s11, s12, s13],
-        [s20, s21, s22, s23],
-        [s30, s31, s32, s33],
-    ]
-}
-
-/// Sequential blocked core of `C ← C − A Bᵀ` on an `m`-row stripe.
-/// `a` holds the stripe's rows of A (`m × k`), `b` the full `n × k` operand.
-fn gemm_nt_seq<T>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize, z: &[T])
-where
-    T: Copy + Default + core::ops::Mul<Output = T> + core::ops::AddAssign + core::ops::SubAssign,
-{
+/// Serial lane-wide core of `C ← C − A Bᵀ` on an `m`-row stripe: `a` holds
+/// the stripe's rows of A (`m × k`), `bp` all of B packed by
+/// [`pack_b_panels`]. The k-block loop is outermost, so every element of C
+/// receives one subtraction per k-block.
+fn gemm_packed<T: Elem, const W: usize>(
+    a: &[T],
+    bp: &[T],
+    c: &mut [T],
+    m: usize,
+    n: usize,
+    k: usize,
+    lower: Option<usize>,
+) {
     let mut pc = 0;
     while pc < k {
         let kc = (k - pc).min(KC);
-        let mut ic = 0;
-        while ic < m {
-            let mc = (m - ic).min(MC);
-            let mut jc = 0;
-            while jc < n {
-                let nc = (n - jc).min(NC);
-                let mut ir = ic;
-                while ir < ic + mc {
-                    let mr = (ic + mc - ir).min(MR);
-                    let ar = [
-                        row_or(a, m, ir, k, pc, kc, z),
-                        row_or(a, m, ir + 1, k, pc, kc, z),
-                        row_or(a, m, ir + 2, k, pc, kc, z),
-                        row_or(a, m, ir + 3, k, pc, kc, z),
-                    ];
-                    let mut jr = jc;
-                    while jr < jc + nc {
-                        let nr = (jc + nc - jr).min(NR);
-                        let br = [
-                            row_or(b, n, jr, k, pc, kc, z),
-                            row_or(b, n, jr + 1, k, pc, kc, z),
-                            row_or(b, n, jr + 2, k, pc, kc, z),
-                            row_or(b, n, jr + 3, k, pc, kc, z),
-                        ];
-                        let acc = micro_4x4(ar, br, kc);
-                        for (ii, accr) in acc.iter().enumerate().take(mr) {
-                            let crow = &mut c[(ir + ii) * n..(ir + ii) * n + n];
-                            for (jj, &s) in accr.iter().enumerate().take(nr) {
-                                crow[jr + jj] -= s;
-                            }
-                        }
-                        jr += NR;
-                    }
-                    ir += MR;
-                }
-                jc += NC;
-            }
-            ic += MC;
+        let mut i = 0;
+        while i < m {
+            let f = match m - i {
+                1 => rows_x_panels::<T, W, 1>,
+                2 => rows_x_panels::<T, W, 2>,
+                3 => rows_x_panels::<T, W, 3>,
+                _ => rows_x_panels::<T, W, MR>,
+            };
+            f(a, bp, c, i, n, k, pc, kc, lower);
+            i += MR;
         }
         pc += KC;
     }
 }
 
-/// Blocked `C ← C − A Bᵀ` with explicit parallelism control. The parallel
-/// path stripes rows of C (and the matching rows of A) across threads; each
-/// stripe runs the identical sequential core, so results are bit-equal to
-/// the `parallel = false` path.
+/// `C ← C − A Bᵀ` (or its lower triangle, for SYRK) with B packed once into
+/// `bt`. The parallel path stripes rows of C (and the matching rows of A)
+/// across threads over the one packed B; each stripe runs the serial core,
+/// so results are bit-equal to the `parallel = false` path.
 #[allow(clippy::too_many_arguments)]
-fn gemm_nt_blocked<T>(
+fn gemm_nt<T: Elem, const W: usize>(
     a: &[T],
     b: &[T],
     c: &mut [T],
     m: usize,
     n: usize,
     k: usize,
+    syrk: bool,
+    bt: &mut TrackedBuf<T>,
     parallel: bool,
-    z: &'static [T],
-) where
-    T: Copy
-        + Default
-        + core::ops::Mul<Output = T>
-        + core::ops::AddAssign
-        + core::ops::SubAssign
-        + Send
-        + Sync,
-{
+) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
     assert_eq!(c.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    let bp: &[T] = bt.load(|v| pack_b_panels::<T, W>(b, n, k, v));
+    let lower = |row0: usize| syrk.then_some(row0);
     if parallel && m >= PAR_THRESHOLD {
         let nthr = rayon::current_num_threads().max(1);
         let rows = m.div_ceil(nthr).max(MR);
         c.par_chunks_mut(rows * n).enumerate().for_each(|(s, cs)| {
             let i0 = s * rows;
             let ms = cs.len() / n;
-            gemm_nt_seq(&a[i0 * k..(i0 + ms) * k], b, cs, ms, n, k, z);
+            gemm_packed::<T, W>(&a[i0 * k..(i0 + ms) * k], bp, cs, ms, n, k, lower(i0));
         });
     } else {
-        gemm_nt_seq(a, b, c, m, n, k, z);
+        gemm_packed::<T, W>(a, bp, c, m, n, k, lower(0));
     }
 }
 
-/// `C ← C − A Bᵀ` with `A: m × k`, `B: n × k`, `C: m × n` (f64), blocked,
-/// with an explicit `parallel` switch.
+/// `C ← C − A Bᵀ` with `A: m × k`, `B: n × k`, `C: m × n` (f64), lane-wide,
+/// with an explicit `parallel` switch. Packs B into this thread's workspace.
 pub fn gemm_nt_f64_p(
     a: &[f64],
     b: &[f64],
@@ -241,7 +258,22 @@ pub fn gemm_nt_f64_p(
     k: usize,
     parallel: bool,
 ) {
-    gemm_nt_blocked(a, b, c, m, n, k, parallel, &ZEROS_F64);
+    with_thread_workspace(|ws| gemm_nt_f64_ws(a, b, c, m, n, k, &mut ws.bt64, parallel));
+}
+
+/// [`gemm_nt_f64_p`] packing B into a caller-owned buffer.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_nt_f64_ws(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+    bt: &mut TrackedBuf<f64>,
+    parallel: bool,
+) {
+    gemm_nt::<f64, W64>(a, b, c, m, n, k, false, bt, parallel);
 }
 
 /// `C ← C − A Bᵀ` (f64). Legacy auto-threshold entry point.
@@ -251,7 +283,7 @@ pub fn gemm_nt_f64(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: u
 
 /// `C ← C − A Bᵀ` in f32 arithmetic (FP32 accumulation — also the compute
 /// path for TF32 / FP16_32 / BF16_32 after their input quantization), with
-/// an explicit `parallel` switch.
+/// an explicit `parallel` switch. Packs B into this thread's workspace.
 pub fn gemm_nt_f32_p(
     a: &[f32],
     b: &[f32],
@@ -261,7 +293,22 @@ pub fn gemm_nt_f32_p(
     k: usize,
     parallel: bool,
 ) {
-    gemm_nt_blocked(a, b, c, m, n, k, parallel, &ZEROS_F32);
+    with_thread_workspace(|ws| gemm_nt_f32_ws(a, b, c, m, n, k, &mut ws.bt32, parallel));
+}
+
+/// [`gemm_nt_f32_p`] packing B into a caller-owned buffer.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_nt_f32_ws(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    bt: &mut TrackedBuf<f32>,
+    parallel: bool,
+) {
+    gemm_nt::<f32, W32>(a, b, c, m, n, k, false, bt, parallel);
 }
 
 /// `C ← C − A Bᵀ` (f32). Legacy auto-threshold entry point.
@@ -269,7 +316,7 @@ pub fn gemm_nt_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: u
     gemm_nt_f32_p(a, b, c, m, n, k, m >= PAR_THRESHOLD);
 }
 
-/// Naive row-dot `C ← C − A Bᵀ` (f64): the sequential oracle the blocked
+/// Naive row-dot `C ← C − A Bᵀ` (f64): the sequential oracle the lane-wide
 /// kernel is tested (bit-exactly, for `k ≤ KC`) and benchmarked against.
 pub fn reference_gemm_nt_f64(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * k);
@@ -300,72 +347,23 @@ pub fn reference_gemm_nt_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: u
     }
 }
 
-/// Sequential blocked SYRK core on a row stripe `[row0, row0 + rows)` of C.
-/// `c` is the stripe (`rows × m`); `a` is the full `m × k` panel.
-fn syrk_ln_seq(a: &[f64], m: usize, k: usize, c: &mut [f64], row0: usize, rows: usize) {
-    let z = &ZEROS_F64;
-    let mut pc = 0;
-    while pc < k {
-        let kc = (k - pc).min(KC);
-        let mut ir = 0;
-        while ir < rows {
-            let gi = row0 + ir;
-            let mr = (rows - ir).min(MR);
-            let ar = [
-                row_or(a, m, gi, k, pc, kc, z),
-                row_or(a, m, gi + 1, k, pc, kc, z),
-                row_or(a, m, gi + 2, k, pc, kc, z),
-                row_or(a, m, gi + 3, k, pc, kc, z),
-            ];
-            // Columns needed by this micro-row: j ≤ gi + mr − 1. Interior
-            // micro-tiles write all 16 lanes; only diagonal-straddling tiles
-            // mask to the lower triangle.
-            let jmax = (gi + mr).min(m);
-            let mut jr = 0;
-            while jr < jmax {
-                let nr = (jmax - jr).min(NR);
-                let br = [
-                    row_or(a, m, jr, k, pc, kc, z),
-                    row_or(a, m, jr + 1, k, pc, kc, z),
-                    row_or(a, m, jr + 2, k, pc, kc, z),
-                    row_or(a, m, jr + 3, k, pc, kc, z),
-                ];
-                let acc = micro_4x4(ar, br, kc);
-                for (ii, accr) in acc.iter().enumerate().take(mr) {
-                    let i = gi + ii;
-                    let crow = &mut c[(ir + ii) * m..(ir + ii) * m + m];
-                    for (jj, &s) in accr.iter().enumerate().take(nr) {
-                        let j = jr + jj;
-                        if j <= i {
-                            crow[j] -= s;
-                        }
-                    }
-                }
-                jr += NR;
-            }
-            ir += MR;
-        }
-        pc += KC;
-    }
+/// `C ← C − A Aᵀ` on the lower triangle of the `m × m` matrix `C`,
+/// with `A` an `m × k` panel: the GEMM kernel masked to `j ≤ i`, with
+/// explicit parallelism control. Packs A into this thread's workspace.
+pub fn syrk_ln_f64_p(a: &[f64], m: usize, k: usize, c: &mut [f64], parallel: bool) {
+    with_thread_workspace(|ws| syrk_ln_f64_ws(a, m, k, c, &mut ws.bt64, parallel));
 }
 
-/// `C ← C − A Aᵀ` on the lower triangle of the `m × m` matrix `C`,
-/// with `A` an `m × k` panel. Blocked, with explicit parallelism control.
-pub fn syrk_ln_f64_p(a: &[f64], m: usize, k: usize, c: &mut [f64], parallel: bool) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(c.len(), m * m);
-    if m == 0 || k == 0 {
-        return;
-    }
-    if parallel && m >= PAR_THRESHOLD {
-        let nthr = rayon::current_num_threads().max(1);
-        let rows = m.div_ceil(nthr).max(MR);
-        c.par_chunks_mut(rows * m).enumerate().for_each(|(s, cs)| {
-            syrk_ln_seq(a, m, k, cs, s * rows, cs.len() / m);
-        });
-    } else {
-        syrk_ln_seq(a, m, k, c, 0, m);
-    }
+/// [`syrk_ln_f64_p`] packing A into a caller-owned buffer.
+pub(crate) fn syrk_ln_f64_ws(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    c: &mut [f64],
+    bt: &mut TrackedBuf<f64>,
+    parallel: bool,
+) {
+    gemm_nt::<f64, W64>(a, a, c, m, m, k, true, bt, parallel);
 }
 
 /// `C ← C − A Aᵀ` (lower). Legacy auto-threshold entry point.
@@ -454,27 +452,97 @@ pub fn potrf_f32(a: &mut [f32], n: usize) -> Result<(), NotSpd> {
     Ok(())
 }
 
-/// Solve `X Lᵀ = B` in place on `B` (`m × n`), with `l` the lower-triangular
-/// `n × n` factor; explicit parallelism control. Each row of `B` is an
-/// independent forward substitution.
-pub fn trsm_rlt_f64_p(l: &[f64], n: usize, b: &mut [f64], m: usize, parallel: bool) {
+/// Rows of B one f64 row-lane TRSM pass solves together: two lane vectors
+/// of independent chains, whose `n × 16` scratch stays in L1 at `n = 256`.
+const P64: usize = 2 * W64;
+/// Rows of B per f32 row-lane TRSM pass.
+const P32: usize = 2 * W32;
+
+/// Row-lane forward substitution for `X Lᵀ = B` on up to `P`-row groups of
+/// `b`: each group is transposed into the k-major scratch `xs` (`P × n`), so
+/// lane `r` solves row `r` as `x_j = (b_j − Σ_{t<j} L_jt·x_t) / L_jj`, the
+/// sum taken in increasing `t` from `−0.0` — the row-dot oracle's operation
+/// sequence.
+fn trsm_lanes<T: Elem, const P: usize>(l: &[T], n: usize, b: &mut [T], xs: &mut [T]) {
+    assert_eq!(xs.len(), P * n);
+    for grp in b.chunks_mut(P * n) {
+        if grp.len() < P * n {
+            xs.fill(T::default());
+        }
+        for (r, row) in grp.chunks_exact(n).enumerate() {
+            for (x, &v) in xs.chunks_exact_mut(P).zip(row) {
+                x[r] = v;
+            }
+        }
+        for j in 0..n {
+            let (done, rest) = xs.as_chunks_mut::<P>().0.split_at_mut(j);
+            let xj = &mut rest[0];
+            let mut acc = [T::NEG_ZERO; P];
+            for (&ljt, xt) in l[j * n..j * n + j].iter().zip(done.iter()) {
+                for (s, &x) in acc.iter_mut().zip(xt) {
+                    *s += ljt * x;
+                }
+            }
+            let d = l[j * n + j];
+            for (x, &s) in xj.iter_mut().zip(&acc) {
+                *x = (*x - s) / d;
+            }
+        }
+        for (r, row) in grp.chunks_exact_mut(n).enumerate() {
+            for (v, x) in row.iter_mut().zip(xs.chunks_exact(P)) {
+                *v = x[r];
+            }
+        }
+    }
+}
+
+/// Solve `X Lᵀ = B` in place on `B` (`m × n`), `l` the lower-triangular
+/// `n × n` factor, with `xs` as the transpose scratch. The parallel path
+/// stripes whole row groups across threads, each with its own slice of
+/// scratch, so results are bit-equal to the serial path.
+fn trsm_rlt<T: Elem, const P: usize>(
+    l: &[T],
+    n: usize,
+    b: &mut [T],
+    m: usize,
+    xs: &mut TrackedBuf<T>,
+    parallel: bool,
+) {
     assert_eq!(l.len(), n * n);
     assert_eq!(b.len(), m * n);
-    let row_solve = |row: &mut [f64]| {
-        for j in 0..n {
-            let s: f64 = l[j * n..j * n + j]
-                .iter()
-                .zip(row.iter())
-                .map(|(lj, x)| lj * x)
-                .sum();
-            row[j] = (row[j] - s) / l[j * n + j];
-        }
-    };
-    if parallel && m >= PAR_THRESHOLD {
-        b.par_chunks_mut(n).for_each(row_solve);
-    } else {
-        b.chunks_mut(n).for_each(row_solve);
+    if m == 0 || n == 0 {
+        return;
     }
+    if parallel && m >= PAR_THRESHOLD {
+        let nthr = rayon::current_num_threads().max(1);
+        let rows = m.div_ceil(nthr).next_multiple_of(P);
+        let xs = xs.prep(m.div_ceil(rows) * P * n);
+        let stripes: Vec<_> = b.chunks_mut(rows * n).zip(xs.chunks_mut(P * n)).collect();
+        stripes
+            .into_par_iter()
+            .for_each(|(bs, x)| trsm_lanes::<T, P>(l, n, bs, x));
+    } else {
+        trsm_lanes::<T, P>(l, n, b, xs.prep(P * n));
+    }
+}
+
+/// Solve `X Lᵀ = B` in place on `B` (`m × n`), with `l` the lower-triangular
+/// `n × n` factor; explicit parallelism control. Row-lane: one SIMD lane per
+/// row of B. Transposes through this thread's workspace.
+pub fn trsm_rlt_f64_p(l: &[f64], n: usize, b: &mut [f64], m: usize, parallel: bool) {
+    with_thread_workspace(|ws| trsm_rlt_f64_ws(l, n, b, m, &mut ws.bt64, parallel));
+}
+
+/// [`trsm_rlt_f64_p`] transposing through a caller-owned buffer.
+pub(crate) fn trsm_rlt_f64_ws(
+    l: &[f64],
+    n: usize,
+    b: &mut [f64],
+    m: usize,
+    xs: &mut TrackedBuf<f64>,
+    parallel: bool,
+) {
+    trsm_rlt::<f64, P64>(l, n, b, m, xs, parallel);
 }
 
 /// Solve `X Lᵀ = B` in place on `B`. Legacy auto-threshold entry point.
@@ -484,9 +552,49 @@ pub fn trsm_rlt_f64(l: &[f64], n: usize, b: &mut [f64], m: usize) {
 
 /// f32 variant of [`trsm_rlt_f64_p`].
 pub fn trsm_rlt_f32_p(l: &[f32], n: usize, b: &mut [f32], m: usize, parallel: bool) {
+    with_thread_workspace(|ws| trsm_rlt_f32_ws(l, n, b, m, &mut ws.bt32, parallel));
+}
+
+/// [`trsm_rlt_f32_p`] transposing through a caller-owned buffer.
+pub(crate) fn trsm_rlt_f32_ws(
+    l: &[f32],
+    n: usize,
+    b: &mut [f32],
+    m: usize,
+    xs: &mut TrackedBuf<f32>,
+    parallel: bool,
+) {
+    trsm_rlt::<f32, P32>(l, n, b, m, xs, parallel);
+}
+
+/// f32 variant of [`trsm_rlt_f64`].
+pub fn trsm_rlt_f32(l: &[f32], n: usize, b: &mut [f32], m: usize) {
+    trsm_rlt_f32_p(l, n, b, m, true)
+}
+
+/// Row-dot `X Lᵀ = B` (f64): the sequential oracle the row-lane TRSM is
+/// tested against bit for bit. Each row of B is an independent forward
+/// substitution.
+pub fn reference_trsm_rlt_f64(l: &[f64], n: usize, b: &mut [f64], m: usize) {
     assert_eq!(l.len(), n * n);
     assert_eq!(b.len(), m * n);
-    let row_solve = |row: &mut [f32]| {
+    for row in b.chunks_mut(n) {
+        for j in 0..n {
+            let s: f64 = l[j * n..j * n + j]
+                .iter()
+                .zip(row.iter())
+                .map(|(lj, x)| lj * x)
+                .sum();
+            row[j] = (row[j] - s) / l[j * n + j];
+        }
+    }
+}
+
+/// Row-dot `X Lᵀ = B` (f32) oracle.
+pub fn reference_trsm_rlt_f32(l: &[f32], n: usize, b: &mut [f32], m: usize) {
+    assert_eq!(l.len(), n * n);
+    assert_eq!(b.len(), m * n);
+    for row in b.chunks_mut(n) {
         for j in 0..n {
             let s: f32 = l[j * n..j * n + j]
                 .iter()
@@ -495,17 +603,7 @@ pub fn trsm_rlt_f32_p(l: &[f32], n: usize, b: &mut [f32], m: usize, parallel: bo
                 .sum();
             row[j] = (row[j] - s) / l[j * n + j];
         }
-    };
-    if parallel && m >= PAR_THRESHOLD {
-        b.par_chunks_mut(n).for_each(row_solve);
-    } else {
-        b.chunks_mut(n).for_each(row_solve);
     }
-}
-
-/// f32 variant of [`trsm_rlt_f64`].
-pub fn trsm_rlt_f32(l: &[f32], n: usize, b: &mut [f32], m: usize) {
-    trsm_rlt_f32_p(l, n, b, m, true)
 }
 
 /// General `C ← alpha · A Bᵀ + beta · C` in f64 (used by the standalone GEMM
@@ -615,20 +713,20 @@ pub fn potrf_blocked_f64_ws(
         for m in (k + 1)..nt {
             let dm = dim(m);
             let bmk = ws.c64.load(|v| read_block(v, a, n, m * nb, k * nb, dm, dk));
-            trsm_rlt_f64_p(lkk, dk, bmk, dm, parallel);
+            trsm_rlt_f64_ws(lkk, dk, bmk, dm, &mut ws.bt64, parallel);
             write_block(a, bmk, n, m * nb, k * nb, dm, dk);
         }
         for m in (k + 1)..nt {
             let dm = dim(m);
             let amk = ws.a64.load(|v| read_block(v, a, n, m * nb, k * nb, dm, dk));
             let cmm = ws.c64.load(|v| read_block(v, a, n, m * nb, m * nb, dm, dm));
-            syrk_ln_f64_p(amk, dm, dk, cmm, parallel);
+            syrk_ln_f64_ws(amk, dm, dk, cmm, &mut ws.bt64, parallel);
             write_block(a, cmm, n, m * nb, m * nb, dm, dm);
             for t in (k + 1)..m {
                 let dt = dim(t);
                 let atk = ws.b64.load(|v| read_block(v, a, n, t * nb, k * nb, dt, dk));
                 let cmt = ws.c64.load(|v| read_block(v, a, n, m * nb, t * nb, dm, dt));
-                gemm_nt_f64_p(amk, atk, cmt, dm, dt, dk, parallel);
+                gemm_nt_f64_ws(amk, atk, cmt, dm, dt, dk, &mut ws.bt64, parallel);
                 write_block(a, cmt, n, m * nb, t * nb, dm, dt);
             }
         }
@@ -1013,5 +1111,60 @@ mod tests {
         let mut p_seq = a0;
         potrf_f64_p(&mut p_seq, m, false).unwrap();
         assert_eq!(p_par, p_seq);
+    }
+
+    #[test]
+    fn pack_b_panels_transposes_and_pads() {
+        let (n, k) = (17, 3);
+        let b: Vec<f32> = (0..n * k).map(|x| x as f32).collect();
+        let mut bp = Vec::new();
+        pack_b_panels::<f32, W32>(&b, n, k, &mut bp);
+        assert_eq!(bp.len(), 2 * k * W32);
+        for j in 0..n {
+            for t in 0..k {
+                assert_eq!(bp[(j / W32) * k * W32 + t * W32 + j % W32], b[j * k + t]);
+            }
+        }
+        assert!(bp[k * W32 + 1..k * W32 + W32].iter().all(|&x| x == 0.0));
+    }
+
+    /// Sums start at `−0.0`, as `Iterator::sum` does: a `−0.0` dot product
+    /// subtracted from a `−0.0` entry gives `+0.0` in the oracles, and so
+    /// must it in the lane-wide kernels (a `+0.0` start gives `−0.0`).
+    #[test]
+    fn signed_zero_sums_start_at_negative_zero() {
+        let pos = 0.0f64.to_bits();
+        let mut c = [-0.0];
+        gemm_nt_f64_p(&[-0.0], &[1.0], &mut c, 1, 1, 1, false);
+        assert_eq!(c[0].to_bits(), pos, "gemm f64");
+        let mut c32 = [-0.0f32];
+        gemm_nt_f32_p(&[-0.0], &[1.0], &mut c32, 1, 1, 1, false);
+        assert_eq!(c32[0].to_bits(), 0.0f32.to_bits(), "gemm f32");
+        // C(1,0) −= a₁·a₀ = 1·(−0)
+        let mut s = [-0.0; 4];
+        syrk_ln_f64_p(&[-0.0, 1.0], 2, 1, &mut s, false);
+        assert_eq!(s[2].to_bits(), pos, "syrk");
+        // x₀ = (b₀ − Σ∅) / L₀₀ with b₀ = −0
+        let mut b = [-0.0, 1.0];
+        trsm_rlt_f64_p(&[1.0, 0.0, 0.5, 2.0], 2, &mut b, 1, false);
+        assert_eq!(b[0].to_bits(), pos, "trsm f64");
+        let mut b32 = [-0.0f32, 1.0];
+        trsm_rlt_f32_p(&[1.0, 0.0, 0.5, 2.0], 2, &mut b32, 1, false);
+        assert_eq!(b32[0].to_bits(), 0.0f32.to_bits(), "trsm f32");
+        let mut r = [-0.0];
+        reference_gemm_nt_f64(&[-0.0], &[1.0], &mut r, 1, 1, 1);
+        assert_eq!(r[0].to_bits(), pos, "oracle");
+    }
+
+    #[test]
+    fn nested_thread_workspace_calls_do_not_panic() {
+        let (m, n, k) = (5, 9, 3);
+        let a = pseudo(m * k, 29, 17, 0.1);
+        let b = pseudo(n * k, 31, 13, 0.2);
+        let mut c_in = vec![0.5; m * n];
+        with_thread_workspace(|_| gemm_nt_f64_p(&a, &b, &mut c_in, m, n, k, false));
+        let mut c_ref = vec![0.5; m * n];
+        reference_gemm_nt_f64(&a, &b, &mut c_ref, m, n, k);
+        assert_eq!(c_in, c_ref);
     }
 }

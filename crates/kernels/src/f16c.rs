@@ -102,24 +102,8 @@ pub fn round_bf16(x: f32) -> f32 {
 }
 
 /// Columns of the pure-FP16 micro-kernel's register block (two 8-lane
-/// vectors), and the width of a packed `B` panel.
-const NR: usize = 16;
-
-/// Pack `b` (`n × k`, row-major, values on the binary16 grid) into the
-/// transposed panel layout [`gemm_f16`] reads: panel `p` holds columns
-/// `p·16 .. p·16+16` of `Bᵀ` as `k` contiguous 16-wide rows, zero-padded
-/// past `n`.
-pub(crate) fn pack_b_panels(b: &[f32], n: usize, k: usize, out: &mut Vec<f32>) {
-    assert_eq!(b.len(), n * k);
-    out.clear();
-    out.resize(n.div_ceil(NR) * k * NR, 0.0);
-    for (j, row) in b.chunks_exact(k.max(1)).take(n).enumerate() {
-        let panel = &mut out[(j / NR) * k * NR..][..k * NR];
-        for (t, &x) in row.iter().enumerate() {
-            panel[t * NR + j % NR] = x;
-        }
-    }
-}
+/// vectors): the width of an f32 packed `B` panel.
+const NR: usize = crate::blas::W32;
 
 /// Pure-FP16 GEMM, `C ← C − A·Bᵀ`, every multiply and every subtract
 /// rounded to binary16, `t` ascending per element — the same operation
@@ -127,8 +111,8 @@ pub(crate) fn pack_b_panels(b: &[f32], n: usize, k: usize, out: &mut Vec<f32>) {
 /// are exact in f32; the subtraction's f32 rounding is innocuous).
 ///
 /// `a` is `m × k`, `c` is `m × n` (row-major, on the binary16 grid), and
-/// `bp` is `B` packed by [`pack_b_panels`]. Serial: the task graph supplies
-/// the parallelism. Requires [`available`].
+/// `bp` is `B` packed into 16-wide panels by `blas::pack_b_panels`.
+/// Serial: the task graph supplies the parallelism. Requires [`available`].
 pub(crate) fn gemm_f16(a: &[f32], bp: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     assert!(available(), "gemm_f16 needs AVX + F16C");
     assert_eq!(a.len(), m * k);
@@ -363,20 +347,5 @@ mod tests {
             round_bf16(1.0e-40).to_bits(),
             bf16::from_f32(1.0e-40).to_f32().to_bits()
         );
-    }
-
-    #[test]
-    fn pack_b_panels_transposes_and_pads() {
-        let (n, k) = (17, 3);
-        let b: Vec<f32> = (0..n * k).map(|x| x as f32).collect();
-        let mut bp = Vec::new();
-        pack_b_panels(&b, n, k, &mut bp);
-        assert_eq!(bp.len(), 2 * k * NR);
-        for j in 0..n {
-            for t in 0..k {
-                assert_eq!(bp[(j / NR) * k * NR + t * NR + j % NR], b[j * k + t]);
-            }
-        }
-        assert!(bp[k * NR + 1..k * NR + NR].iter().all(|&x| x == 0.0));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Algorithm 1 of the paper uses four kernels: POTRF (tile Cholesky), TRSM
 //! (triangular solve), SYRK (symmetric rank-k update), GEMM (general matrix
-//! multiply). [`blas`] provides cache-blocked implementations on raw `f64`
+//! multiply). [`blas`] provides lane-wide implementations on raw `f64`
 //! (and `f32`) buffers plus the naive `reference_*` oracles they are tested
 //! against; [`mp`] provides tile-level wrappers whose arithmetic follows
 //! each precision format's semantics exactly (see crate `mixedp-fp`);
@@ -24,8 +24,9 @@ pub use blas::{
     backward_solve_trans_in_place, cholesky_in_place, forward_solve_in_place, gemm_full_f64,
     gemm_full_f64_p, gemm_nt_f32, gemm_nt_f32_p, gemm_nt_f64, gemm_nt_f64_p, potrf_blocked_f64,
     potrf_blocked_f64_ws, potrf_f32, potrf_f64, potrf_f64_p, reference_gemm_nt_f32,
-    reference_gemm_nt_f64, reference_potrf_f64, reference_syrk_ln_f64, syrk_ln_f64, syrk_ln_f64_p,
-    trsm_rlt_f32, trsm_rlt_f32_p, trsm_rlt_f64, trsm_rlt_f64_p, NotSpd,
+    reference_gemm_nt_f64, reference_potrf_f64, reference_syrk_ln_f64, reference_trsm_rlt_f32,
+    reference_trsm_rlt_f64, syrk_ln_f64, syrk_ln_f64_p, trsm_rlt_f32, trsm_rlt_f32_p, trsm_rlt_f64,
+    trsm_rlt_f64_p, NotSpd,
 };
 pub use mp::{
     compute_format_index, gemm_tile, gemm_tile_ws, gemm_tile_ws_cached, kernel_flops,

@@ -272,17 +272,17 @@ fn trsm_tile_ws_inner(p: Precision, l: &Tile, b: &mut Tile, ws: &mut Workspace, 
         Precision::Fp64 => {
             let lf = ws.a64.load(|v| l.read_f64_into(v));
             if let Some(bf) = b.as_mut_f64_slice() {
-                blas::trsm_rlt_f64_p(lf, n, bf, m, parallel);
+                blas::trsm_rlt_f64_ws(lf, n, bf, m, &mut ws.bt64, parallel);
             } else {
                 let bf = ws.c64.load(|v| b.read_f64_into(v));
-                blas::trsm_rlt_f64_p(lf, n, bf, m, parallel);
+                blas::trsm_rlt_f64_ws(lf, n, bf, m, &mut ws.bt64, parallel);
                 b.store_f64(bf);
             }
         }
         _ => {
             let lf = ws.a32.load(|v| l.read_f32_into(v));
             let bf = ws.c32.load(|v| b.read_f32_into(v));
-            blas::trsm_rlt_f32_p(lf, n, bf, m, parallel);
+            blas::trsm_rlt_f32_ws(lf, n, bf, m, &mut ws.bt32, parallel);
             b.write_f32(bf);
         }
     }
@@ -318,10 +318,10 @@ fn syrk_tile_ws_inner(a: &Tile, c: &mut Tile, ws: &mut Workspace, parallel: bool
         None => ws.a64.load(|v| a.read_f64_into(v)),
     };
     if let Some(cf) = c.as_mut_f64_slice() {
-        blas::syrk_ln_f64_p(af, m, k, cf, parallel);
+        blas::syrk_ln_f64_ws(af, m, k, cf, &mut ws.bt64, parallel);
     } else {
         let cf = ws.c64.load(|v| c.read_f64_into(v));
-        blas::syrk_ln_f64_p(af, m, k, cf, parallel);
+        blas::syrk_ln_f64_ws(af, m, k, cf, &mut ws.bt64, parallel);
         c.store_f64(cf);
     }
 }
@@ -409,17 +409,19 @@ fn gemm_tile_ws_cached_inner(
                 None => ws.b64.load(|v| b.read_f64_into(v)),
             };
             if let Some(cf) = c.as_mut_f64_slice() {
-                blas::gemm_nt_f64_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f64_ws(af, bf, cf, m, n, k, &mut ws.bt64, parallel);
             } else {
                 let cf = ws.c64.load(|v| c.read_f64_into(v));
-                blas::gemm_nt_f64_p(af, bf, cf, m, n, k, parallel);
+                blas::gemm_nt_f64_ws(af, bf, cf, m, n, k, &mut ws.bt64, parallel);
                 c.store_f64(cf);
             }
         }
         Precision::Fp16 if simd => {
             let af = ws.a32.load(|v| converted += f16_grid_into(a, a_buf, v));
             let bf = ws.b32.load(|v| converted += f16_grid_into(b, b_buf, v));
-            let bp = ws.bt32.load(|v| f16c::pack_b_panels(bf, n, k, v));
+            let bp = ws
+                .bt32
+                .load(|v| blas::pack_b_panels::<f32, { blas::W32 }>(bf, n, k, v));
             let cf = ws.c32.load(|v| {
                 f16_grid_into(c, None, v);
             });
@@ -467,7 +469,7 @@ fn gemm_tile_ws_cached_inner(
                 }
             };
             let cf = ws.c32.load(|v| c.read_f32_into(v));
-            blas::gemm_nt_f32_p(af, bf, cf, m, n, k, parallel);
+            blas::gemm_nt_f32_ws(af, bf, cf, m, n, k, &mut ws.bt32, parallel);
             c.write_f32(cf);
         }
     }
@@ -512,7 +514,7 @@ pub fn gemm_tile_fp8(a: &Tile, b: &Tile, c: &mut Tile) {
             v.extend(b.to_f64().iter().map(|&x| mixedp_fp::round_e4m3(x) as f32));
         });
         let cf = ws.c32.load(|v| c.read_f32_into(v));
-        blas::gemm_nt_f32_p(af, bf, cf, m, n, k, true);
+        blas::gemm_nt_f32_ws(af, bf, cf, m, n, k, &mut ws.bt32, true);
         c.write_f32(cf);
     });
 }

@@ -85,8 +85,11 @@ pub struct Workspace {
     pub a16: TrackedBuf<f16>,
     pub b16: TrackedBuf<f16>,
     pub c16: TrackedBuf<f16>,
-    /// `B` packed into transposed 16-column panels for the F16C pure-FP16
-    /// GEMM micro-kernel.
+    /// f64 `B` packed into 8-column panels (GEMM, SYRK), or TRSM's
+    /// transposed row groups.
+    pub bt64: TrackedBuf<f64>,
+    /// f32 `B` packed into 16-column panels (FP32-class and F16C pure-FP16
+    /// GEMM), or TRSM's transposed row groups.
     pub bt32: TrackedBuf<f32>,
     /// Scratch for blocked POTRF's diagonal/panel staging.
     pub p64: TrackedBuf<f64>,
@@ -108,6 +111,7 @@ impl Workspace {
             a16: TrackedBuf::new(),
             b16: TrackedBuf::new(),
             c16: TrackedBuf::new(),
+            bt64: TrackedBuf::new(),
             bt32: TrackedBuf::new(),
             p64: TrackedBuf::new(),
             wire: TrackedBuf::new(),
@@ -126,6 +130,7 @@ impl Workspace {
             + self.a16.grow_events()
             + self.b16.grow_events()
             + self.c16.grow_events()
+            + self.bt64.grow_events()
             + self.bt32.grow_events()
             + self.p64.grow_events()
             + self.wire.grow_events()
@@ -139,8 +144,13 @@ thread_local! {
 /// Run `f` with this thread's workspace. Fallback for call sites that are not
 /// scheduler workers (tests, serial helpers, `cholesky_in_place`); scheduler
 /// workers own a `Workspace` directly via the per-worker context API instead.
+/// A nested call on the same thread (a rayon worker stealing a job while it
+/// waits inside `f`) gets a fresh workspace rather than a borrow panic.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    THREAD_WS.with(|ws| f(&mut ws.borrow_mut()))
+    THREAD_WS.with(|ws| match ws.try_borrow_mut() {
+        Ok(mut ws) => f(&mut ws),
+        Err(_) => f(&mut Workspace::new()),
+    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,60 @@ fn tile_from(v: &[f64], rows: usize, cols: usize) -> Tile {
     Tile::from_f64(rows, cols, v, StoragePrecision::F64)
 }
 
+/// A value stream for the bit-identity tests: mostly ordinary values in
+/// (−1, 1), with ±0.0 and subnormals (~6%) and ±∞ (~0.2%, so that most
+/// `k = KC` dot products still stay finite) mixed in.
+fn special_mix(seed: u64) -> impl FnMut() -> f64 {
+    let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let u = (s >> 11) as f64 / (1u64 << 53) as f64;
+        match s % 1024 {
+            0..=15 => 0.0,
+            16..=31 => -0.0,
+            32..=47 => f64::MIN_POSITIVE * u,
+            48..=63 => -f64::MIN_POSITIVE * u,
+            64..=79 => f32::MIN_POSITIVE as f64 * (u - 0.5),
+            80 => f64::INFINITY,
+            81 => f64::NEG_INFINITY,
+            _ => u * 2.0 - 1.0,
+        }
+    }
+}
+
+/// Bit equality, except that any two NaNs match (their payloads depend on
+/// operand order, which the compiler may commute).
+fn same_bits_f64(x: &[f64], y: &[f64]) -> Result<(), String> {
+    assert_eq!(x.len(), y.len());
+    match x
+        .iter()
+        .zip(y)
+        .position(|(a, b)| a.to_bits() != b.to_bits() && !(a.is_nan() && b.is_nan()))
+    {
+        Some(i) => Err(format!("element {i}: {:e} vs {:e}", x[i], y[i])),
+        None => Ok(()),
+    }
+}
+
+fn same_bits_f32(x: &[f32], y: &[f32]) -> Result<(), String> {
+    let wide = |v: &[f32]| v.iter().map(|&a| a as f64).collect::<Vec<_>>();
+    same_bits_f64(&wide(x), &wide(y))
+}
+
+prop_compose! {
+    /// Row counts that straddle the 4-row register block, the 8/16-lane
+    /// panels and the parallel threshold; `k` up to `KC`.
+    fn lane_dims()(
+        m in 1usize..80,
+        n in 1usize..40,
+        k in prop_oneof![1usize..40, (blas::KC - 24)..=blas::KC],
+    ) -> (usize, usize, usize) {
+        (m, n, k)
+    }
+}
+
 prop_compose! {
     fn arb_dims()(m in 1usize..12, n in 1usize..12, k in 1usize..12) -> (usize, usize, usize) {
         (m, n, k)
@@ -233,5 +287,92 @@ proptest! {
         for (x, y) in b.iter().zip(&x0) {
             prop_assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }
+    }
+
+    /// The lane-wide f64 GEMM is bit-identical to the row-dot oracle on
+    /// ±0.0, subnormal and ±∞ inputs, up to `k = KC`, serial and parallel.
+    #[test]
+    fn lane_gemm_f64_bit_matches_oracle_on_special_values(
+        (m, n, k) in lane_dims(), seed in 0u64..1000, par in 0usize..2,
+    ) {
+        let mut v = special_mix(seed);
+        let a: Vec<f64> = (0..m * k).map(|_| v()).collect();
+        let b: Vec<f64> = (0..n * k).map(|_| v()).collect();
+        let c0: Vec<f64> = (0..m * n).map(|_| v()).collect();
+        let mut c = c0.clone();
+        blas::gemm_nt_f64_p(&a, &b, &mut c, m, n, k, par == 1);
+        let mut c_ref = c0;
+        blas::reference_gemm_nt_f64(&a, &b, &mut c_ref, m, n, k);
+        prop_assert!(same_bits_f64(&c, &c_ref).is_ok(), "{:?}", same_bits_f64(&c, &c_ref));
+    }
+
+    /// The lane-wide f32 GEMM (FP32-class tiles) against its oracle.
+    #[test]
+    fn lane_gemm_f32_bit_matches_oracle_on_special_values(
+        (m, n, k) in lane_dims(), seed in 0u64..1000, par in 0usize..2,
+    ) {
+        let mut v = special_mix(seed);
+        let mut w = || v() as f32;
+        let a: Vec<f32> = (0..m * k).map(|_| w()).collect();
+        let b: Vec<f32> = (0..n * k).map(|_| w()).collect();
+        let c0: Vec<f32> = (0..m * n).map(|_| w()).collect();
+        let mut c = c0.clone();
+        blas::gemm_nt_f32_p(&a, &b, &mut c, m, n, k, par == 1);
+        let mut c_ref = c0;
+        blas::reference_gemm_nt_f32(&a, &b, &mut c_ref, m, n, k);
+        prop_assert!(same_bits_f32(&c, &c_ref).is_ok(), "{:?}", same_bits_f32(&c, &c_ref));
+    }
+
+    /// SYRK is bit-identical to its oracle on the lower triangle and leaves
+    /// the strict upper triangle untouched, bit for bit.
+    #[test]
+    fn lane_syrk_bit_matches_oracle_and_keeps_upper(
+        (m, _n, k) in lane_dims(), seed in 0u64..1000, par in 0usize..2,
+    ) {
+        let mut v = special_mix(seed);
+        let a: Vec<f64> = (0..m * k).map(|_| v()).collect();
+        let c0: Vec<f64> = (0..m * m).map(|_| v()).collect();
+        let mut c = c0.clone();
+        blas::syrk_ln_f64_p(&a, m, k, &mut c, par == 1);
+        let mut c_ref = c0.clone();
+        blas::reference_syrk_ln_f64(&a, m, k, &mut c_ref);
+        prop_assert!(same_bits_f64(&c, &c_ref).is_ok(), "{:?}", same_bits_f64(&c, &c_ref));
+        for i in 0..m {
+            for j in (i + 1)..m {
+                prop_assert_eq!(c[i * m + j].to_bits(), c0[i * m + j].to_bits(), "upper ({},{})", i, j);
+            }
+        }
+    }
+
+    /// The row-lane TRSM is bit-identical to the row-dot oracle, f64 and
+    /// f32, for `n` up to `KC` and row counts off every lane multiple.
+    #[test]
+    fn lane_trsm_bit_matches_oracle_on_special_values(
+        (m, _n, n) in lane_dims(), seed in 0u64..1000, par in 0usize..2,
+    ) {
+        let mut v = special_mix(seed);
+        // L: lower triangle from the mix, diagonal mostly away from zero.
+        let mut l = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..i {
+                l[i * n + j] = v();
+            }
+            let d = v();
+            l[i * n + i] = if d.abs() < 0.5 && d.is_finite() && d != 0.0 { d + 2.0 } else { d };
+        }
+        let b0: Vec<f64> = (0..m * n).map(|_| v()).collect();
+        let mut b = b0.clone();
+        blas::trsm_rlt_f64_p(&l, n, &mut b, m, par == 1);
+        let mut b_ref = b0.clone();
+        blas::reference_trsm_rlt_f64(&l, n, &mut b_ref, m);
+        prop_assert!(same_bits_f64(&b, &b_ref).is_ok(), "f64 {:?}", same_bits_f64(&b, &b_ref));
+
+        let l32: Vec<f32> = l.iter().map(|&x| x as f32).collect();
+        let b32_0: Vec<f32> = b0.iter().map(|&x| x as f32).collect();
+        let mut b32 = b32_0.clone();
+        blas::trsm_rlt_f32_p(&l32, n, &mut b32, m, par == 1);
+        let mut b32_ref = b32_0;
+        blas::reference_trsm_rlt_f32(&l32, n, &mut b32_ref, m);
+        prop_assert!(same_bits_f32(&b32, &b32_ref).is_ok(), "f32 {:?}", same_bits_f32(&b32, &b32_ref));
     }
 }

@@ -29,9 +29,10 @@ echo "== packed-wire property tests (release)"
 cargo test --offline -q --release -p mixedp-core --test wire_roundtrip
 cargo test --offline -q --release -p mixedp-core wire::
 
-echo "== F16C fast paths (release: full 2^32 conversion sweep, bit-identity proptests)"
+echo "== F16C fast paths and lane-wide kernels (release: full 2^32 conversion sweep, bit-identity proptests up to k = KC)"
 cargo test --offline -q --release -p mixedp-kernels --test f16c_conversions -- --include-ignored
 cargo test --offline -q --release -p mixedp-kernels --test prop_f16c
+cargo test --offline -q --release -p mixedp-kernels --test prop_kernels
 
 echo "== end-to-end benchmark (perfbench): build against the library API, helper tests"
 cargo test --offline -q --release --manifest-path perfbench/Cargo.toml
