@@ -1,9 +1,12 @@
 //! Criterion benches of the statistics substrate: Bessel `K_ν`, covariance
-//! assembly, synthetic-field generation, and one log-likelihood evaluation.
+//! assembly (dense, and tiled on one runtime worker), synthetic-field
+//! generation, and one log-likelihood evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mixedp_geostats::covariance::covariance_dense;
-use mixedp_geostats::{bessel_k, gen_locations_2d, generate_field, loglik_exact, Matern2d, SqExp};
+use mixedp_geostats::{
+    bessel_k, covariance_tiles, gen_locations_2d, generate_field, loglik_exact, Matern2d, SqExp,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,6 +32,15 @@ fn bench_covariance(c: &mut Criterion) {
     });
     g.bench_function("matern_400", |b| {
         b.iter(|| covariance_dense(&Matern2d, &locs, &[1.0, 0.1, 0.5]))
+    });
+    g.finish();
+    let mut g = c.benchmark_group("covariance_tiles");
+    g.sample_size(10);
+    g.bench_function("sqexp_400_nb100", |b| {
+        b.iter(|| covariance_tiles(&SqExp::new2d(), &locs, &[1.0, 0.1], 100, 1))
+    });
+    g.bench_function("matern_400_nb100", |b| {
+        b.iter(|| covariance_tiles(&Matern2d, &locs, &[1.0, 0.1, 0.5], 100, 1))
     });
     g.finish();
 }

@@ -11,7 +11,10 @@
 //! task (the allocation-free invariant: must be 0 after warmup), plus tile
 //! GEMM GFLOP/s for every kernel precision and tile TRSM GFLOP/s for FP64 and
 //! FP32 at nb ∈ {128, 256} (operands in their storage format, quantized
-//! inside the call, serial kernel). The file is stamped with the host
+//! inside the call, serial kernel), and covariance-tile generation in
+//! Melem/s — the tile kernel (`covariance_block`) against one
+//! `covariance_entry` call per element — for Matérn ν = ½ and the squared
+//! exponential at nb ∈ {128, 256}. The file is stamped with the host
 //! fingerprint (CPU model, SIMD flags, nproc, rustc, git revision).
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_kernels`
@@ -21,11 +24,15 @@ use mixedp_bench::timing::{host_fingerprint_json, median_secs, pseudo};
 use mixedp_bench::Args;
 use mixedp_core::wire::{pack_tile_into, quantize_through_wire, reference_through_wire, Packing};
 use mixedp_fp::{storage_precision_of, CommPrecision, Precision, StoragePrecision};
+use mixedp_geostats::covariance::{covariance_block, covariance_entry};
+use mixedp_geostats::{gen_locations_2d, CovarianceModel, Matern2d, SqExp};
 use mixedp_kernels::{
     blas, gemm_tile_ws, potrf_blocked_f64, potrf_tile_ws, reference_gemm_nt_f64,
     reference_potrf_f64, reference_syrk_ln_f64, trsm_tile_ws, Workspace,
 };
 use mixedp_tile::Tile;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct Entry {
     name: &'static str,
@@ -174,6 +181,37 @@ fn main() {
         }
     }
 
+    // Covariance-tile generation: the off-diagonal tile between two
+    // neighbouring tile-rows of a Morton-ordered location set (the
+    // loglik workloads' geometry), θ as in those workloads.
+    let cov_locs = gen_locations_2d(1024, &mut StdRng::seed_from_u64(1));
+    let cov_models: [(&str, &dyn CovarianceModel, &[f64]); 2] = [
+        ("matern_nu0.5", &Matern2d, &[1.0, 0.1, 0.5]),
+        ("sqexp", &SqExp::new2d(), &[1.0, 0.1]),
+    ];
+    let mut cov_rows: Vec<(&str, usize, f64, f64)> = Vec::new();
+    for nb in [128, 256] {
+        for &(name, model, theta) in &cov_models {
+            let (cols, rows) = cov_locs[..2 * nb].split_at(nb);
+            let mut out = vec![0.0; nb * nb];
+            let t_tile = median_secs(reps, || {
+                covariance_block(model, rows, cols, theta, false, &mut out);
+            });
+            let t_entry = median_secs(reps, || {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = covariance_entry(model, &cov_locs, nb + i / nb, i % nb, theta);
+                }
+            });
+            let melems = |t: f64| (nb * nb) as f64 / t / 1e6;
+            println!(
+                "tile cov  {name:<12} nb={nb:<4} {:>8.2} Melem/s (per-entry {:.2})",
+                melems(t_tile),
+                melems(t_entry)
+            );
+            cov_rows.push((name, nb, melems(t_tile), melems(t_entry)));
+        }
+    }
+
     // Conversion / pack throughput: the wire engine's fused one-pass
     // quantization vs the old two-pass (narrow Tile then widen) route, plus
     // the fused convert-and-pack itself, per wire precision.
@@ -246,6 +284,14 @@ fn main() {
         json.push_str(&format!(
             "    \"{}_nb{nb}\": {gflops:.4}{comma}\n",
             p.label()
+        ));
+    }
+    json.push_str("  },\n");
+    json.push_str("  \"tile_cov_melems\": {\n");
+    for (i, (name, nb, tile, entry)) in cov_rows.iter().enumerate() {
+        let comma = if i + 1 == cov_rows.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    \"{name}_nb{nb}\": {{\"tile\": {tile:.3}, \"per_entry\": {entry:.3}}}{comma}\n"
         ));
     }
     json.push_str("  },\n");

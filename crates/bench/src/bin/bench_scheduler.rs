@@ -19,12 +19,14 @@
 //! Top-level `"retired_*"` entries of the previous snapshot hold the frozen
 //! last figures of removed code paths (e.g. the single-heap executor the
 //! work-stealing scheduler replaced); each run carries them forward
-//! verbatim.
+//! verbatim. The file is stamped with the host fingerprint.
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_scheduler`
 //! Options: `--workers=8 --reps=5 --quick --out=BENCH_scheduler.json`
 
-use mixedp_bench::timing::{median_secs, min_secs, scan_json_f64, spin};
+use mixedp_bench::timing::{
+    host_fingerprint_json, median_secs, scan_json_f64, spin, weighted_telemetry_overhead,
+};
 use mixedp_bench::Args;
 use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_obs as obs;
@@ -165,34 +167,12 @@ fn main() {
     println!(
         "telemetry on/off: flat {flat_ns:.1} -> {flat_on:.1} ns/task ({flat_tele_pct:+.2}%), chol {chol_ns:.1} -> {chol_on:.1} ns/task ({chol_tele_pct:+.2}%)"
     );
-    // Cost-weighted bodies: one ring store amortized over kernel-scale
-    // work — the realistic overhead, and the number the <2% acceptance
-    // gate (`telemetry_smoke` / `scripts/verify.sh`) tracks. Measured at
-    // <= one worker per core for the same reason the occupancy comparison
-    // is: oversubscribed spin bodies time OS preemption, not the
-    // instrumentation.
+    // Cost-weighted bodies: the realistic overhead, and the number the <2%
+    // acceptance gate (`telemetry_smoke` / `scripts/verify.sh`) tracks.
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let occ_workers = workers.min(host_cpus);
-    let wdag = build_dag(16);
-    let wcosts: Vec<u64> = wdag
-        .tasks
-        .iter()
-        .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
-        .collect();
-    let wn = wdag.graph.len() as f64;
-    let w_reps = reps.max(9); // min-of-N wants enough samples to hit the floor
-    let w_off = min_secs(w_reps, || {
-        run(&wdag.graph, occ_workers, |id| spin(wcosts[id]));
-    }) * 1e9
-        / wn;
-    obs::set_enabled(true);
-    let w_on = min_secs(w_reps, || {
-        run(&wdag.graph, occ_workers, |id| spin(wcosts[id]));
-    }) * 1e9
-        / wn;
-    obs::set_enabled(false);
-    obs::reset_rings();
-    let w_pct = 100.0 * (w_on - w_off) / w_off;
+    // the paired median wants enough pairs to shrug off a hiccup
+    let (w_off, w_on, w_pct) = weighted_telemetry_overhead(workers, reps.max(9), unit_ns);
     println!(
         "telemetry on/off (cost-weighted nt=16, {occ_workers} workers): {w_off:.1} -> {w_on:.1} ns/task ({w_pct:+.2}%)"
     );
@@ -232,6 +212,7 @@ fn main() {
 
     // --- JSON ------------------------------------------------------------
     let mut json = String::from("{\n");
+    json.push_str(&format!("  \"host\": {},\n", host_fingerprint_json()));
     json.push_str(&format!(
         "  \"workers\": {workers},\n  \"host_cpus\": {host_cpus},\n  \"occupancy_workers\": {occ_workers},\n  \"reps\": {reps},\n  \"quick\": {quick},\n  \"unit_ns\": {unit_ns},\n"
     ));

@@ -14,12 +14,12 @@
 //! The headline (acceptance) number: at nt=16 on a 2×2 grid, the coalesced
 //! Auto plan's measured wire bytes vs the per-consumer TTC baseline — and a
 //! bit-identity check of distributed-TTC against the shared-memory
-//! factorization.
+//! factorization. The file is stamped with the host fingerprint.
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_wire`
 //! Options: `--nb=32 --reps=5 --out=BENCH_wire.json`
 
-use mixedp_bench::timing::{median_secs, pseudo};
+use mixedp_bench::timing::{host_fingerprint_json, median_secs, pseudo};
 use mixedp_bench::Args;
 use mixedp_core::wire::{
     pack_tile_into, packed_bytes, quantize_through_wire, reference_through_wire, unpack_tile,
@@ -219,6 +219,7 @@ fn main() {
 
     // ---- JSON -------------------------------------------------------------
     let mut json = String::from("{\n");
+    json.push_str(&format!("  \"host\": {},\n", host_fingerprint_json()));
     json.push_str(&format!("  \"nb\": {nb},\n  \"reps\": {reps},\n"));
     json.push_str("  \"pack_throughput\": {\n");
     for (i, r) in pack_rows.iter().enumerate() {

@@ -24,15 +24,13 @@
 
 use std::time::Instant;
 
-use mixedp_bench::timing::{min_secs, scan_json_f64, spin};
+use mixedp_bench::timing::{scan_json_f64, weighted_telemetry_overhead};
 use mixedp_bench::Args;
-use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
 use mixedp_core::{
     factorize_mp, factorize_mp_distributed, uniform_map, validate_run_report, RunReport, WirePolicy,
 };
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_obs as obs;
-use mixedp_runtime::{execute, ExecOptions};
 use mixedp_tile::{Grid2d, SymmTileMatrix};
 
 fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
@@ -45,37 +43,6 @@ fn spd_matrix(n: usize, nb: usize) -> SymmTileMatrix {
         },
         |_, _| StoragePrecision::F64,
     )
-}
-
-/// Live telemetry-on-vs-off dispatch delta on a cost-weighted Cholesky DAG
-/// (percent). Min-of-N damps scheduling noise (fixed-work bodies: every
-/// perturbation only adds time); the caller retries once more before
-/// treating a violation as real. Capped at one worker per core —
-/// oversubscribed spin bodies time OS preemption, not the instrumentation.
-fn weighted_overhead_pct(workers: usize, reps: usize, unit_ns: u64) -> f64 {
-    let workers = workers.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let dag = build_dag(16);
-    let costs: Vec<u64> = dag
-        .tasks
-        .iter()
-        .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
-        .collect();
-    let run = || {
-        execute(
-            &dag.graph,
-            workers,
-            |_| (),
-            |(), id| spin(costs[id]),
-            &ExecOptions::default(),
-        )
-        .unwrap();
-    };
-    let t_off = min_secs(reps, run);
-    obs::set_enabled(true);
-    let t_on = min_secs(reps, run);
-    obs::set_enabled(false);
-    obs::reset_rings();
-    100.0 * (t_on - t_off) / t_off
 }
 
 fn main() {
@@ -199,12 +166,12 @@ fn main() {
     } else {
         println!("no committed {sched_json}; skipping committed-overhead gate");
     }
-    let mut pct = weighted_overhead_pct(threads, reps, unit_ns);
+    let mut pct = weighted_telemetry_overhead(threads, reps, unit_ns).2;
     if pct >= 2.0 {
-        // one retry: medians damp most scheduling noise, but a single
+        // one retry: paired medians damp most scheduling noise, but a single
         // background hiccup on a small host can still skew a run
         println!("live overhead {pct:+.2}% >= 2%; retrying once");
-        pct = weighted_overhead_pct(threads, reps, unit_ns);
+        pct = weighted_telemetry_overhead(threads, reps, unit_ns).2;
     }
     println!("live weighted telemetry overhead: {pct:+.2}%");
     assert!(

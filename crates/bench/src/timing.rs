@@ -2,35 +2,84 @@
 //! previously copy-pasted into `bench_kernels` / `bench_scheduler` /
 //! `bench_wire`, now one implementation.
 
+use mixedp_core::factorize::{build_dag, kernel_cost, DEFAULT_KERNEL_COSTS};
+use mixedp_obs as obs;
+use mixedp_runtime::{execute, ExecOptions};
 use std::time::Instant;
+
+/// Upper median of `v` (non-empty).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
 
 /// Median wall-clock seconds of `reps` runs of `f` (one untimed warmup).
 pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     f();
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
-/// Minimum wall-clock seconds of `reps` runs of `f` (one untimed warmup).
-/// For fixed-work bodies (busy-wait task bodies, deterministic DAG replay)
-/// the minimum is the lowest-noise estimator: every perturbation — clock
-/// drift, preemption, a background build — only ever adds time.
-pub fn min_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Telemetry on-vs-off cost of task dispatch on the nt=16 Cholesky DAG with
+/// busy-wait bodies of `unit_ns` per kernel-cost unit — one ring store
+/// amortized over kernel-scale work, the number the <2% telemetry gate
+/// checks. Runs at `min(workers, host CPUs)` workers: oversubscribed spin
+/// bodies time OS preemption, not the instrumentation. Off and on runs
+/// alternate rep by rep, in alternating order, so a drift in host speed
+/// lands on both sides of a pair. Returns the median ns/task off and on and
+/// the median per-pair delta in percent.
+pub fn weighted_telemetry_overhead(workers: usize, reps: usize, unit_ns: u64) -> (f64, f64, f64) {
+    let workers = workers.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let dag = build_dag(16);
+    let costs: Vec<u64> = dag
+        .tasks
+        .iter()
+        .map(|t| kernel_cost(&DEFAULT_KERNEL_COSTS, t.kind()) as u64 * unit_ns)
+        .collect();
+    let time = |on: bool| {
+        obs::set_enabled(on);
+        let t0 = Instant::now();
+        execute(
+            &dag.graph,
+            workers,
+            |_| (),
+            |(), id| spin(costs[id]),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        obs::set_enabled(false);
+        secs
+    };
+    // untimed warmup of both sides (the first traced run allocates rings)
+    time(false);
+    time(true);
+    let (mut off, mut on, mut pct) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (t_off, t_on) = if rep % 2 == 0 {
+            (time(false), time(true))
+        } else {
+            let t_on = time(true);
+            (time(false), t_on)
+        };
+        off.push(t_off);
+        on.push(t_on);
+        pct.push(100.0 * (t_on - t_off) / t_off);
+    }
+    obs::reset_rings();
+    let ns_per_task = 1e9 / dag.graph.len() as f64;
+    (
+        median(off) * ns_per_task,
+        median(on) * ns_per_task,
+        median(pct),
+    )
 }
 
 /// Busy-wait for `ns` nanoseconds (sleep granularity is far too coarse for

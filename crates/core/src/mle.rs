@@ -6,12 +6,12 @@
 use crate::factorize::{factorize_mp_recovering, FactorOptions, FactorStats};
 use crate::precision_map::PrecisionMap;
 use mixedp_fp::Precision;
-use mixedp_geostats::assemble::covariance_tiles;
+use mixedp_geostats::assemble::covariance_tiles_with_norms;
 use mixedp_geostats::loglik::{assemble_loglik, LoglikBackend};
 use mixedp_geostats::{CovarianceModel, Location};
 use mixedp_kernels::blas;
 use mixedp_obs as obs;
-use mixedp_tile::{tile_fro_norms, SymmTileMatrix};
+use mixedp_tile::{NormMap, SymmTileMatrix};
 
 /// Adaptive mixed-precision likelihood backend.
 ///
@@ -47,28 +47,35 @@ impl MpBackend {
 
     /// Also expose the precision map chosen for a given `θ` (used by the
     /// Fig 7 experiment).
+    ///
+    /// # Panics
+    /// Panics when `θ` is outside the model's domain.
     pub fn precision_map_for(
         &self,
         model: &dyn CovarianceModel,
         locs: &[Location],
         theta: &[f64],
     ) -> PrecisionMap {
-        let sigma = self.build_sigma(model, locs, theta);
-        PrecisionMap::from_norms(&tile_fro_norms(&sigma), self.accuracy, &self.candidates)
+        let (_, norms) = self
+            .build_sigma(model, locs, theta)
+            .unwrap_or_else(|| panic!("θ = {theta:?} is outside the {} domain", model.label()));
+        PrecisionMap::from_norms(&norms, self.accuracy, &self.candidates)
     }
 
+    /// `Σ(θ)` and its tile norms in one pass; `None` when `θ` is outside
+    /// the model's domain.
     fn build_sigma(
         &self,
         model: &dyn CovarianceModel,
         locs: &[Location],
         theta: &[f64],
-    ) -> SymmTileMatrix {
+    ) -> Option<(SymmTileMatrix, NormMap)> {
         // Generate in FP64 first (needed for the norms that drive the map);
         // the map's storage precisions are applied to the tiles afterwards,
         // exactly as the paper's matrix-generation phase does (§V). Tile
         // generation runs on the same worker pool as the factorization and
         // is bit-identical at any thread count.
-        covariance_tiles(model, locs, theta, self.nb, self.threads)
+        covariance_tiles_with_norms(model, locs, theta, self.nb, self.threads)
     }
 
     /// [`LoglikBackend::loglik`] plus the [`FactorStats`] of the run, so
@@ -98,8 +105,7 @@ impl MpBackend {
     ) -> Option<(f64, FactorStats)> {
         let n = locs.len();
         assert_eq!(z.len(), n);
-        let mut sigma = self.build_sigma(model, locs, theta);
-        let norms = tile_fro_norms(&sigma);
+        let (mut sigma, norms) = self.build_sigma(model, locs, theta)?;
         let pmap = PrecisionMap::from_norms(&norms, self.accuracy, &self.candidates);
         // `renarrow_storage` re-stores the FP64 tiles at the map's storage
         // precision (Fig 2b) inside each factorization attempt: the same
@@ -213,6 +219,32 @@ mod tests {
                 .1
         };
         assert!(fp64_frac(&loose) < fp64_frac(&tight));
+    }
+
+    #[test]
+    fn out_of_domain_theta_fails_the_evaluation() {
+        // A negative or NaN range or smoothness has no Matérn Σ(θ); both
+        // backends report a failed evaluation instead of panicking.
+        let mut rng = StdRng::seed_from_u64(8);
+        let locs = gen_locations_2d(64, &mut rng);
+        let model = mixedp_geostats::Matern2d;
+        let z = generate_field(&model, &locs, &[1.0, 0.1, 0.5], &mut rng);
+        let mp = MpBackend::new(1e-9, 16, 2);
+        for theta in [
+            [1.0, 0.1, -0.5],
+            [1.0, -0.1, 0.5],
+            [1.0, f64::NAN, 0.5],
+            [1.0, 0.1, f64::NAN],
+            [1.0, 0.0, 0.5],
+        ] {
+            assert!(
+                mp.loglik(&model, &locs, &theta, &z).is_none(),
+                "mp {theta:?}"
+            );
+            let exact = ExactBackend.loglik(&model, &locs, &theta, &z);
+            assert!(exact.is_none(), "exact {theta:?}");
+        }
+        assert!(mp.loglik(&model, &locs, &[1.0, 0.1, 0.5], &z).is_some());
     }
 
     #[test]

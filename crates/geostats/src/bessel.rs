@@ -49,42 +49,77 @@ fn temme_gammas(mu: f64) -> (f64, f64, f64, f64) {
 /// Panics on `x ≤ 0` or `ν < 0` (use symmetry `K_{−ν} = K_ν` at call sites
 /// if negative orders are needed).
 pub fn bessel_k(nu: f64, x: f64) -> f64 {
-    assert!(x > 0.0, "bessel_k requires x > 0, got {x}");
-    assert!(nu >= 0.0, "bessel_k requires ν ≥ 0, got {nu}");
-
-    // Split ν = nl + μ with nl integer and |μ| ≤ 1/2.
-    let nl = (nu + 0.5).floor();
-    let mu = nu - nl;
-    let nl = nl as usize;
-
-    let (mut k_mu, mut k_mu1) = if x <= 2.0 {
-        k_temme_series(mu, x)
-    } else {
-        k_steed_cf2(mu, x)
-    };
-
-    // Upward recurrence K_{m+1} = K_{m−1} + 2m/x · K_m, starting at m = μ+1.
-    for i in 1..=nl {
-        let k_next = k_mu + 2.0 * (mu + i as f64) / x * k_mu1;
-        k_mu = k_mu1;
-        k_mu1 = k_next;
-    }
-    k_mu
+    BesselK::new(nu).eval(x)
 }
 
-/// Temme's series: returns `(K_μ(x), K_{μ+1}(x))` for `x ≤ 2`, `|μ| ≤ ½`.
-fn k_temme_series(mu: f64, x: f64) -> (f64, f64) {
+/// `K_ν` at a fixed order: the terms that depend on `ν` alone (the split
+/// `ν = nl + μ`, Temme's `πμ/sin(πμ)` and `Γ(1±μ)` coefficients) are
+/// computed once, so evaluating many arguments — a covariance tile — pays
+/// only the per-`x` series or continued fraction. `eval` is bit-identical
+/// to [`bessel_k`], which is this type used once.
+#[derive(Debug, Clone, Copy)]
+pub struct BesselK {
+    nl: usize,
+    mu: f64,
+    /// `πμ / sin(πμ)` (1 at μ = 0).
+    fact: f64,
+    /// [`temme_gammas`]`(μ)`.
+    gammas: (f64, f64, f64, f64),
+}
+
+impl BesselK {
+    /// # Panics
+    /// Panics on `ν < 0` or NaN.
+    pub fn new(nu: f64) -> Self {
+        assert!(nu >= 0.0, "bessel_k requires ν ≥ 0, got {nu}");
+        // Split ν = nl + μ with nl integer and |μ| ≤ 1/2.
+        let nl = (nu + 0.5).floor();
+        let mu = nu - nl;
+        let pimu = std::f64::consts::PI * mu;
+        let fact = if pimu.abs() < EPS {
+            1.0
+        } else {
+            pimu / pimu.sin()
+        };
+        BesselK {
+            nl: nl as usize,
+            mu,
+            fact,
+            gammas: temme_gammas(mu),
+        }
+    }
+
+    /// `K_ν(x)`.
+    ///
+    /// # Panics
+    /// Panics on `x ≤ 0` or NaN.
+    pub fn eval(&self, x: f64) -> f64 {
+        assert!(x > 0.0, "bessel_k requires x > 0, got {x}");
+        let mu = self.mu;
+        let (mut k_mu, mut k_mu1) = if x <= 2.0 {
+            k_temme_series(mu, self.fact, self.gammas, x)
+        } else {
+            k_steed_cf2(mu, x)
+        };
+
+        // Upward recurrence K_{m+1} = K_{m−1} + 2m/x · K_m, starting at m = μ+1.
+        for i in 1..=self.nl {
+            let k_next = k_mu + 2.0 * (mu + i as f64) / x * k_mu1;
+            k_mu = k_mu1;
+            k_mu1 = k_next;
+        }
+        k_mu
+    }
+}
+
+/// Temme's series: returns `(K_μ(x), K_{μ+1}(x))` for `x ≤ 2`, `|μ| ≤ ½`,
+/// given `πμ/sin(πμ)` and `temme_gammas(μ)`.
+fn k_temme_series(mu: f64, fact: f64, gammas: (f64, f64, f64, f64), x: f64) -> (f64, f64) {
     let x2 = 0.5 * x;
-    let pimu = std::f64::consts::PI * mu;
-    let fact = if pimu.abs() < EPS {
-        1.0
-    } else {
-        pimu / pimu.sin()
-    };
     let d = -x2.ln();
     let e = mu * d;
     let fact2 = if e.abs() < EPS { 1.0 } else { e.sinh() / e };
-    let (gam1, gam2, gampl, gammi) = temme_gammas(mu);
+    let (gam1, gam2, gampl, gammi) = gammas;
     let mut ff = fact * (gam1 * e.cosh() + gam2 * fact2 * d);
     let mut sum = ff;
     let e = e.exp();

@@ -7,7 +7,7 @@
 //! * **2D Matérn**:
 //!   `C(h) = σ²·(2^{1−ν}/Γ(ν))·(h/β)^ν·K_ν(h/β)`, `θ = (σ², β, ν)`.
 
-use crate::bessel::bessel_k;
+use crate::bessel::BesselK;
 use crate::locations::Location;
 
 /// A stationary isotropic covariance model parameterized by `θ`.
@@ -27,6 +27,57 @@ pub trait CovarianceModel: Sync + Send {
     /// Covariance between two locations.
     fn cov_loc(&self, a: &Location, b: &Location, theta: &[f64]) -> f64 {
         self.cov(a.dist(b), theta)
+    }
+
+    /// Whether `theta` lies in the model's domain: `nparams()` finite
+    /// values with `σ² = θ₀ > 0` and `β = θ₁ > 0`; models with a shape
+    /// parameter narrow it further. Assembly outside the domain yields no
+    /// usable `Σ(θ)` and may panic, so every likelihood evaluation checks
+    /// here first and fails instead.
+    fn in_domain(&self, theta: &[f64]) -> bool {
+        scale_and_range_ok(self.nparams(), theta)
+    }
+
+    /// The covariances between `rows` and `cols`, row-major into `out`
+    /// (`rows.len() × cols.len()`); with `lower`, only entries `(i, j)` with
+    /// `j ≤ i` are written. Every value is bit-equal to
+    /// [`cov_loc`](Self::cov_loc); a model overrides this to compute its
+    /// θ-only terms once per tile instead of once per entry.
+    fn cov_tile(
+        &self,
+        rows: &[Location],
+        cols: &[Location],
+        theta: &[f64],
+        lower: bool,
+        out: &mut [f64],
+    ) {
+        fill_tile(rows, cols, lower, out, |a, b| self.cov_loc(a, b, theta));
+    }
+}
+
+/// `theta` has `nparams` finite values with `σ² = θ₀ > 0` and `β = θ₁ > 0`.
+fn scale_and_range_ok(nparams: usize, theta: &[f64]) -> bool {
+    theta.len() == nparams
+        && theta.iter().all(|t| t.is_finite())
+        && theta[0] > 0.0
+        && theta[1] > 0.0
+}
+
+/// The element loop of [`CovarianceModel::cov_tile`]: `out[i, j] = f(rows[i], cols[j])`.
+fn fill_tile(
+    rows: &[Location],
+    cols: &[Location],
+    lower: bool,
+    out: &mut [f64],
+    f: impl Fn(&Location, &Location) -> f64,
+) {
+    let c = cols.len();
+    assert_eq!(out.len(), rows.len() * c, "covariance tile length mismatch");
+    for (i, a) in rows.iter().enumerate() {
+        let m = if lower { i + 1 } else { c };
+        for (o, b) in out[i * c..(i + 1) * c].iter_mut().zip(cols).take(m) {
+            *o = f(a, b);
+        }
     }
 }
 
@@ -75,20 +126,49 @@ impl CovarianceModel for SqExp {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Matern2d;
 
+/// The Matérn covariance at a fixed `θ`: the terms that depend on `θ`
+/// alone — `σ²·2^{1−ν}/Γ(ν)` and `K_ν`'s order terms — are computed once,
+/// and [`cov`](Self::cov) evaluates one distance. The product keeps its
+/// left-to-right order `((σ²·scale)·r^ν)·K_ν(r)`, so hoisting changes no bit.
+struct MaternAt {
+    sigma_sq: f64,
+    beta: f64,
+    nu: f64,
+    /// `σ²·2^{1−ν}/Γ(ν)`.
+    scale: f64,
+    k: BesselK,
+}
+
+impl MaternAt {
+    fn new(theta: &[f64]) -> Self {
+        debug_assert_eq!(theta.len(), 3);
+        let (sigma_sq, beta, nu) = (theta[0], theta[1], theta[2]);
+        MaternAt {
+            sigma_sq,
+            beta,
+            nu,
+            scale: sigma_sq * ((2.0f64).powf(1.0 - nu) / libm::tgamma(nu)),
+            k: BesselK::new(nu),
+        }
+    }
+
+    #[inline]
+    fn cov(&self, h: f64) -> f64 {
+        if h == 0.0 {
+            return self.sigma_sq;
+        }
+        let r = h / self.beta;
+        self.scale * r.powf(self.nu) * self.k.eval(r)
+    }
+}
+
 impl CovarianceModel for Matern2d {
     fn nparams(&self) -> usize {
         3
     }
 
     fn cov(&self, h: f64, theta: &[f64]) -> f64 {
-        debug_assert_eq!(theta.len(), 3);
-        let (sigma_sq, beta, nu) = (theta[0], theta[1], theta[2]);
-        if h == 0.0 {
-            return sigma_sq;
-        }
-        let r = h / beta;
-        let scale = (2.0f64).powf(1.0 - nu) / libm::tgamma(nu);
-        sigma_sq * scale * r.powf(nu) * bessel_k(nu, r)
+        MaternAt::new(theta).cov(h)
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -97,6 +177,23 @@ impl CovarianceModel for Matern2d {
 
     fn label(&self) -> &'static str {
         "2D-Matérn"
+    }
+
+    /// The common domain and smoothness `ν > 0`.
+    fn in_domain(&self, theta: &[f64]) -> bool {
+        scale_and_range_ok(3, theta) && theta[2] > 0.0
+    }
+
+    fn cov_tile(
+        &self,
+        rows: &[Location],
+        cols: &[Location],
+        theta: &[f64],
+        lower: bool,
+        out: &mut [f64],
+    ) {
+        let m = MaternAt::new(theta);
+        fill_tile(rows, cols, lower, out, |a, b| m.cov(a.dist(b)));
     }
 }
 
@@ -128,6 +225,11 @@ impl CovarianceModel for PowExp {
     fn label(&self) -> &'static str {
         "2D-powexp"
     }
+
+    /// The common domain and `0 < γ ≤ 2`.
+    fn in_domain(&self, theta: &[f64]) -> bool {
+        scale_and_range_ok(3, theta) && theta[2] > 0.0 && theta[2] <= 2.0
+    }
 }
 
 /// Relative nugget added to the diagonal of every assembled covariance
@@ -143,8 +245,8 @@ impl CovarianceModel for PowExp {
 pub const NUGGET_REL: f64 = 1e-8;
 
 /// Covariance matrix entry `(i, j)` including the diagonal nugget — the
-/// single source of truth used by both the dense assembly below and the
-/// tiled mixed-precision assembly in `mixedp-core`.
+/// per-element definition of `Σ(θ)`. [`covariance_block`], and through it
+/// the dense and the tiled assembly, is bit-equal to it entry for entry.
 pub fn covariance_entry(
     model: &dyn CovarianceModel,
     locs: &[Location],
@@ -160,6 +262,34 @@ pub fn covariance_entry(
     }
 }
 
+/// The block of `Σ(θ)` between the locations `rows` and `cols`, row-major
+/// into `out`, each entry bit-equal to [`covariance_entry`]. A `diag` block
+/// has `rows` and `cols` the same locations: its lower triangle is computed
+/// once and mirrored (the distance is exactly symmetric, `a − b = −(b − a)`
+/// in IEEE arithmetic, so the mirror holds the very bits a second
+/// evaluation would give), and the nugget is added on its diagonal.
+pub fn covariance_block(
+    model: &dyn CovarianceModel,
+    rows: &[Location],
+    cols: &[Location],
+    theta: &[f64],
+    diag: bool,
+    out: &mut [f64],
+) {
+    model.cov_tile(rows, cols, theta, diag, out);
+    if diag {
+        let n = rows.len();
+        debug_assert_eq!(n, cols.len());
+        let nugget = theta[0] * NUGGET_REL;
+        for i in 0..n {
+            out[i * n + i] += nugget;
+            for j in 0..i {
+                out[j * n + i] = out[i * n + j];
+            }
+        }
+    }
+}
+
 /// Build the dense covariance matrix `Σ(θ)` for a location set (row-major,
 /// symmetric, used by the exact reference path and data generation).
 pub fn covariance_dense(
@@ -169,12 +299,7 @@ pub fn covariance_dense(
 ) -> mixedp_tile::DenseMatrix {
     let n = locs.len();
     let mut a = mixedp_tile::DenseMatrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..=i {
-            a.set(i, j, covariance_entry(model, locs, i, j, theta));
-        }
-    }
-    a.symmetrize_from_lower();
+    covariance_block(model, locs, locs, theta, true, a.data_mut());
     a
 }
 

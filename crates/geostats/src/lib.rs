@@ -26,7 +26,7 @@ pub mod optimizer;
 pub mod predict;
 pub mod variogram;
 
-pub use assemble::covariance_tiles;
+pub use assemble::{covariance_tiles, covariance_tiles_with_norms};
 pub use bessel::bessel_k;
 pub use boxplot::BoxplotStats;
 pub use covariance::{CovarianceModel, Matern2d, PowExp, SqExp};

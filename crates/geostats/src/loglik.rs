@@ -8,8 +8,8 @@ use mixedp_kernels::blas;
 
 /// Evaluates `ℓ(θ)` for a covariance model over a fixed dataset.
 ///
-/// Returns `None` when `Σ(θ)` is not numerically positive definite (the
-/// optimizer treats that as `−∞`).
+/// Returns `None` when `θ` is outside the model's domain or `Σ(θ)` is not
+/// numerically positive definite (the optimizer treats that as `−∞`).
 pub trait LoglikBackend: Sync {
     fn loglik(
         &self,
@@ -44,6 +44,9 @@ impl LoglikBackend for ExactBackend {
     ) -> Option<f64> {
         let n = locs.len();
         assert_eq!(z.len(), n);
+        if !model.in_domain(theta) {
+            return None;
+        }
         let mut sigma = covariance_dense(model, locs, theta);
         if blas::cholesky_in_place(sigma.data_mut(), n).is_err() {
             return None;

@@ -96,18 +96,6 @@ impl DenseMatrix {
     pub fn transpose(&self) -> DenseMatrix {
         DenseMatrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
-
-    /// Mirror the lower triangle into the upper (in place), making the
-    /// matrix exactly symmetric.
-    pub fn symmetrize_from_lower(&mut self) {
-        assert_eq!(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let x = self.get(j, i);
-                self.set(i, j, x);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,18 +120,6 @@ mod tests {
     fn transpose_involution() {
         let a = DenseMatrix::from_fn(3, 5, |i, j| (i + 2 * j) as f64 * 0.3);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn symmetrize() {
-        let mut a =
-            DenseMatrix::from_fn(3, 3, |i, j| if i >= j { (i + j + 1) as f64 } else { -99.0 });
-        a.symmetrize_from_lower();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(a.get(i, j), a.get(j, i));
-            }
-        }
     }
 
     #[test]

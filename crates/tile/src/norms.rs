@@ -14,6 +14,28 @@ pub struct NormMap {
 }
 
 impl NormMap {
+    /// The norm map from the squared Frobenius norms of the lower tiles,
+    /// in [`SymmTileMatrix`]'s lower-packed order. This is the one global
+    /// reduction: off-diagonal tiles count twice, summed in packed order.
+    pub fn from_tile_sq(nt: usize, sq: Vec<f64>) -> Self {
+        assert_eq!(
+            sq.len(),
+            nt * (nt + 1) / 2,
+            "one squared norm per lower tile"
+        );
+        let global = (0..nt)
+            .flat_map(|i| (0..=i).map(move |j| i == j))
+            .zip(&sq)
+            .map(|(diag, &s)| if diag { s } else { 2.0 * s })
+            .sum::<f64>()
+            .sqrt();
+        NormMap {
+            nt,
+            norms: sq.into_iter().map(f64::sqrt).collect(),
+            global,
+        }
+    }
+
     pub fn nt(&self) -> usize {
         self.nt
     }
@@ -38,17 +60,7 @@ pub fn tile_fro_norms(a: &SymmTileMatrix) -> NormMap {
         .par_iter()
         .map(|&(i, j)| a.tile(i, j).fro_norm_sq())
         .collect();
-    let global = coords
-        .iter()
-        .zip(&sq)
-        .map(|(&(i, j), &s)| if i == j { s } else { 2.0 * s })
-        .sum::<f64>()
-        .sqrt();
-    NormMap {
-        nt,
-        norms: sq.into_iter().map(f64::sqrt).collect(),
-        global,
-    }
+    NormMap::from_tile_sq(nt, sq)
 }
 
 #[cfg(test)]
