@@ -14,8 +14,11 @@
 //! inside the call, serial kernel), and covariance-tile generation in
 //! Melem/s — the tile kernel (`covariance_block`) against one
 //! `covariance_entry` call per element — for Matérn ν = ½ and the squared
-//! exponential at nb ∈ {128, 256}. The file is stamped with the host
-//! fingerprint (CPU model, SIMD flags, nproc, rustc, git revision).
+//! exponential at nb ∈ {128, 256}, and the likelihood tail on the factor
+//! (`tile_loglik_tail`: tile log-det + forward solve against
+//! `to_dense_lower` + the dense solve) at (n, nb) ∈ {(2048, 256),
+//! (1024, 128)}. The file is stamped with the host fingerprint (CPU model,
+//! SIMD flags, nproc, rustc, git revision).
 //!
 //! Run: `cargo run --release -p mixedp-bench --bin bench_kernels`
 //! Options: `--n=256 --reps=7 --out=BENCH_kernels.json`
@@ -27,10 +30,11 @@ use mixedp_fp::{storage_precision_of, CommPrecision, Precision, StoragePrecision
 use mixedp_geostats::covariance::{covariance_block, covariance_entry};
 use mixedp_geostats::{gen_locations_2d, CovarianceModel, Matern2d, SqExp};
 use mixedp_kernels::{
-    blas, gemm_tile_ws, potrf_blocked_f64, potrf_tile_ws, reference_gemm_nt_f64,
-    reference_potrf_f64, reference_syrk_ln_f64, trsm_tile_ws, Workspace,
+    blas, forward_solve_in_place, forward_solve_tiled, gemm_tile_ws, log_det_tiled,
+    potrf_blocked_f64, potrf_tile_ws, reference_gemm_nt_f64, reference_potrf_f64,
+    reference_syrk_ln_f64, trsm_tile_ws, Workspace,
 };
-use mixedp_tile::Tile;
+use mixedp_tile::{SymmTileMatrix, Tile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -248,6 +252,56 @@ fn main() {
         conv_rows.push(row);
     }
 
+    // The tail of a likelihood evaluation on the factor: log-det and
+    // forward solve on the tiles, against the dense route (an n × n
+    // `to_dense_lower` copy, then the ln-sum and `forward_solve_in_place`).
+    // Same bits either way; F64 tiles, as on the near-FP64 map.
+    let mut tail_rows: Vec<(usize, usize, f64, f64)> = Vec::new();
+    for (tn, nb) in [(2048, 256), (1024, 128)] {
+        let off = pseudo(tn * tn, 10);
+        let l = SymmTileMatrix::from_fn(
+            tn,
+            nb,
+            |i, j| {
+                if i == j {
+                    1.0 + off[i * tn + i].abs()
+                } else {
+                    off[i * tn + j] / tn as f64
+                }
+            },
+            |_, _| StoragePrecision::F64,
+        );
+        let z = pseudo(tn, 11);
+        let mut v = z.clone();
+        let mut ll_tile = 0.0;
+        let t_tile = median_secs(reps, || {
+            v.copy_from_slice(&z);
+            let ld = log_det_tiled(&l).unwrap();
+            forward_solve_tiled(&l, &mut v);
+            ll_tile = ld + v[tn - 1];
+        });
+        let mut ll_dense = 0.0;
+        let t_dense = median_secs(reps, || {
+            let d = l.to_dense_lower();
+            let ld = (0..tn).fold(0.0, |s, i| s + d.data()[i * tn + i].ln());
+            v.copy_from_slice(&z);
+            forward_solve_in_place(d.data(), tn, &mut v);
+            ll_dense = ld + v[tn - 1];
+        });
+        assert_eq!(
+            ll_tile.to_bits(),
+            ll_dense.to_bits(),
+            "tile and dense tails differ"
+        );
+        println!(
+            "loglik tail n={tn:<5} nb={nb:<4} tile {:.3} ms, dense {:.3} ms ({:.2}x)",
+            t_tile * 1e3,
+            t_dense * 1e3,
+            t_dense / t_tile
+        );
+        tail_rows.push((tn, nb, t_tile, t_dense));
+    }
+
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"host\": {},\n", host_fingerprint_json()));
     json.push_str(&format!("  \"n\": {n},\n  \"reps\": {reps},\n"));
@@ -292,6 +346,15 @@ fn main() {
         let comma = if i + 1 == cov_rows.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"{name}_nb{nb}\": {{\"tile\": {tile:.3}, \"per_entry\": {entry:.3}}}{comma}\n"
+        ));
+    }
+    json.push_str("  },\n");
+    json.push_str("  \"tile_loglik_tail\": {\n");
+    for (i, (tn, nb, tile, dense)) in tail_rows.iter().enumerate() {
+        let comma = if i + 1 == tail_rows.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    \"n{tn}_nb{nb}\": {{\"tile_s\": {tile:.6}, \"dense_s\": {dense:.6}, \"speedup\": {:.3}}}{comma}\n",
+            dense / tile
         ));
     }
     json.push_str("  },\n");

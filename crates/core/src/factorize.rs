@@ -16,7 +16,7 @@
 //! DES task builder read both.
 
 use crate::precision_map::PrecisionMap;
-use mixedp_fp::Precision;
+use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::{
     blas::NotSpd, compute_format_index, gemm_tile_ws_cached, make_compute_buf, potrf_tile_ws,
     syrk_tile_ws, tile_is_finite, trsm_tile_ws, ComputeBuf, KernelKind, Workspace,
@@ -63,6 +63,17 @@ impl CholeskyTask {
             CholeskyTask::Trsm { .. } => KernelKind::Trsm,
             CholeskyTask::Syrk { .. } => KernelKind::Syrk,
             CholeskyTask::Gemm { .. } => KernelKind::Gemm,
+        }
+    }
+
+    /// The elimination step `k` this task belongs to. Every tile's first
+    /// writer in DAG order is its step-0 task.
+    pub(crate) fn step(&self) -> usize {
+        match *self {
+            CholeskyTask::Potrf { k }
+            | CholeskyTask::Trsm { k, .. }
+            | CholeskyTask::Syrk { k, .. }
+            | CholeskyTask::Gemm { k, .. } => k,
         }
     }
 
@@ -624,24 +635,27 @@ fn run_attempt(
     let nt = a.nt();
     let nthreads = opts.nthreads;
 
-    // Move tiles into per-tile RwLocks for concurrent kernel execution.
+    // One RwLock per lower tile for concurrent kernel execution. A cell
+    // stays empty until its tile's first writer in DAG order, the task with
+    // `k == 0`, snapshots it from the caller's matrix; `a` itself is only
+    // read until a clean attempt writes the factor back.
+    let src: &SymmTileMatrix = a;
     let ncells = nt * (nt + 1) / 2;
-    let mut cells: Vec<RwLock<Tile>> = Vec::with_capacity(ncells);
-    for i in 0..nt {
-        for j in 0..=i {
-            let t = a.tile(i, j);
-            let cell = if opts.renarrow_storage && t.storage() != pmap.storage(i, j) {
-                // The map's storage prescription is a real narrowing (part
-                // of the method's error, Fig 2b) — re-derived fresh from
-                // the caller's tiles each attempt so escalation recovers
-                // full-precision data, not previously-degraded bits.
-                t.converted_to(pmap.storage(i, j))
-            } else {
-                t.clone()
-            };
-            cells.push(RwLock::new(cell));
+    let cells: Vec<RwLock<Tile>> = (0..ncells)
+        .map(|_| RwLock::new(Tile::zeros(0, 0, StoragePrecision::F64)))
+        .collect();
+    // The map's storage prescription is a real narrowing (part of the
+    // method's error, Fig 2b) — re-derived fresh from the caller's tiles
+    // each attempt so escalation recovers full-precision data, not
+    // previously-degraded bits.
+    let snapshot = |i: usize, j: usize| {
+        let t = src.tile(i, j);
+        if opts.renarrow_storage {
+            t.converted_to(pmap.storage(i, j))
+        } else {
+            t.clone()
         }
-    }
+    };
     let idx = |i: usize, j: usize| i * (i + 1) / 2 + j;
     let failures: Mutex<Vec<(TaskId, BreakdownCause)>> = Mutex::new(Vec::new());
     let failed = AtomicBool::new(false);
@@ -704,6 +718,13 @@ fn run_attempt(
             return; // breakdown observed: drain remaining tasks as no-ops
         }
         let t = &dag.tasks[task_idx];
+        if t.step() == 0 {
+            // First writer of its tile: copy it in on this worker, so the
+            // copies run in parallel and leave the tile cache-hot for the
+            // kernel. A retried task re-snapshots from the untouched source.
+            let (i, j) = t.output_tile();
+            *write_pt(&cells[idx(i, j)]) = snapshot(i, j);
+        }
         match *t {
             CholeskyTask::Potrf { k } => {
                 let mut c = write_pt(&cells[idx(k, k)]);
@@ -824,8 +845,9 @@ fn run_attempt(
     failures.dedup_by_key(|&mut (id, _)| id);
 
     if failures.is_empty() {
-        // Write tiles back, converting storage to the map's prescription
-        // (the factor tile keeps the storage precision of its map entry).
+        // Move tiles back, converting only those whose storage differs from
+        // the map's prescription (the factor tile keeps the storage
+        // precision of its map entry).
         let mut cells_iter = cells.into_iter();
         for i in 0..nt {
             for j in 0..=i {
@@ -834,7 +856,12 @@ fn run_attempt(
                     .unwrap()
                     .into_inner()
                     .unwrap_or_else(|e| e.into_inner());
-                *a.tile_mut(i, j) = tile.converted_to(pmap.storage(i, j));
+                let storage = pmap.storage(i, j);
+                *a.tile_mut(i, j) = if tile.storage() == storage {
+                    tile
+                } else {
+                    tile.converted_to(storage)
+                };
             }
         }
     }

@@ -9,7 +9,7 @@ use mixedp_fp::Precision;
 use mixedp_geostats::assemble::covariance_tiles_with_norms;
 use mixedp_geostats::loglik::{assemble_loglik, LoglikBackend};
 use mixedp_geostats::{CovarianceModel, Location};
-use mixedp_kernels::blas;
+use mixedp_kernels::{forward_solve_tiled, log_det_tiled};
 use mixedp_obs as obs;
 use mixedp_tile::{NormMap, SymmTileMatrix};
 
@@ -119,20 +119,11 @@ impl MpBackend {
             ..Default::default()
         };
         let stats = factorize_mp_recovering(&mut sigma, &pmap, &opts).ok()?;
-        // log|Σ| and the quadratic form via the (widened) factor.
-        let l = sigma.to_dense_lower();
-        let ld = l.data();
-        let mut log_det = 0.0;
-        for i in 0..n {
-            let d = ld[i * n + i];
-            if d <= 0.0 || !d.is_finite() {
-                return None;
-            }
-            log_det += d.ln();
-        }
-        log_det *= 2.0;
+        // log|Σ| and the quadratic form straight on the tile factor, with
+        // the dense formula's arithmetic and no n × n copy.
+        let log_det = 2.0 * log_det_tiled(&sigma)?;
         let mut v = z.to_vec();
-        blas::forward_solve_in_place(ld, n, &mut v);
+        forward_solve_tiled(&sigma, &mut v);
         let v2: f64 = v.iter().map(|x| x * x).sum();
         if !v2.is_finite() {
             return None;
@@ -245,6 +236,68 @@ mod tests {
             assert!(exact.is_none(), "exact {theta:?}");
         }
         assert!(mp.loglik(&model, &locs, &[1.0, 0.1, 0.5], &z).is_some());
+    }
+
+    /// The benchmark replay's check, at tier 1: the backend's ℓ, computed
+    /// on the tile factor, is bit-identical to the dense formula
+    /// (`to_dense_lower` + `forward_solve_in_place` + `assemble_loglik`) on
+    /// the same factor.
+    #[test]
+    fn loglik_bit_matches_dense_formula() {
+        use mixedp_kernels::blas;
+        fn dense_loglik(
+            be: &MpBackend,
+            model: &dyn CovarianceModel,
+            locs: &[Location],
+            theta: &[f64],
+            z: &[f64],
+        ) -> f64 {
+            let (mut sigma, norms) = be.build_sigma(model, locs, theta).unwrap();
+            let pmap = PrecisionMap::from_norms(&norms, be.accuracy, &be.candidates);
+            let opts = FactorOptions {
+                nthreads: be.threads,
+                escalation_budget: be.escalation_budget,
+                renarrow_storage: true,
+                ..Default::default()
+            };
+            factorize_mp_recovering(&mut sigma, &pmap, &opts).unwrap();
+            let n = z.len();
+            let l = sigma.to_dense_lower();
+            let log_det = 2.0 * (0..n).fold(0.0, |s, i| s + l.data()[i * n + i].ln());
+            let mut v = z.to_vec();
+            blas::forward_solve_in_place(l.data(), n, &mut v);
+            assemble_loglik(n, log_det, v.iter().map(|x| x * x).sum())
+        }
+        let mut rng = StdRng::seed_from_u64(12);
+        let sqexp = SqExp::new2d();
+        let matern = mixedp_geostats::Matern2d;
+        let cases: [(&dyn CovarianceModel, &[f64], usize, usize); 2] = [
+            (&sqexp, &[1.0, 0.02], 150, 32),
+            (&matern, &[1.0, 0.1, 0.5], 133, 24),
+        ];
+        for (model, theta, n, nb) in cases {
+            let locs = gen_locations_2d(n, &mut rng);
+            let z = generate_field(model, &locs, theta, &mut rng);
+            for u_req in [1e-4, 1e-9] {
+                let mixed = MpBackend::new(u_req, nb, 1)
+                    .precision_map_for(model, &locs, theta)
+                    .percentages()
+                    .iter()
+                    .any(|&(p, pct)| p != Precision::Fp64 && pct > 0.0);
+                assert!(mixed, "{} u_req {u_req:e}: map is all FP64", model.label());
+                for threads in [1, 2, 4] {
+                    let be = MpBackend::new(u_req, nb, threads);
+                    let (ll, _) = be.loglik_detailed(model, &locs, theta, &z).unwrap();
+                    let want = dense_loglik(&be, model, &locs, theta, &z);
+                    assert_eq!(
+                        ll.to_bits(),
+                        want.to_bits(),
+                        "{} u_req {u_req:e} threads {threads}: {ll} vs {want}",
+                        model.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use mixedp_core::{
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::reconstruction_error;
 use mixedp_runtime::{FaultPlan, RetryPolicy};
-use mixedp_tile::{DenseMatrix, SymmTileMatrix};
+use mixedp_tile::{DenseMatrix, SymmTileMatrix, TileBuf};
 use proptest::prelude::*;
 
 /// An SPD-in-FP64 but severely ill-conditioned matrix: a strongly
@@ -158,6 +158,67 @@ fn transient_corruption_is_rerun_without_charging_the_precision_map() {
     for i in 0..64 {
         for j in 0..=i {
             assert_eq!(clean.get(i, j), l.get(i, j), "({i},{j})");
+        }
+    }
+}
+
+/// Every tile's storage and raw bits, in storage order.
+fn tile_bits(a: &SymmTileMatrix) -> Vec<(StoragePrecision, Vec<u64>)> {
+    a.iter_lower()
+        .map(|(_, _, t)| {
+            let bits = match t.buf() {
+                TileBuf::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+                TileBuf::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+                TileBuf::F16(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            };
+            (t.storage(), bits)
+        })
+        .collect()
+}
+
+/// Each attempt snapshots a tile from the caller's matrix at the tile's
+/// first writer and moves the factor back only on success: a failed
+/// attempt leaves `a` bit-unchanged, and the recovered factor equals a
+/// fresh factorization of the original matrix under the final escalated
+/// map, with and without re-narrowing and at one and four workers.
+#[test]
+fn failed_attempts_leave_the_input_untouched_and_recovery_matches_a_fresh_run() {
+    let a0 = fragile_spd(96, 16, 1e-3);
+    let pmap = uniform_map(a0.nt(), Precision::Fp16);
+    let before = tile_bits(&a0);
+    for renarrow_storage in [false, true] {
+        for nthreads in [1, 4] {
+            let opts = FactorOptions {
+                nthreads,
+                renarrow_storage,
+                ..Default::default()
+            };
+            let mut failed = a0.clone();
+            let err = factorize_mp_recovering(
+                &mut failed,
+                &pmap,
+                &FactorOptions {
+                    escalation_budget: 0,
+                    ..opts.clone()
+                },
+            );
+            assert!(matches!(err, Err(FactorError::EscalationExhausted { .. })));
+            assert!(tile_bits(&failed) == before, "failed attempt wrote into a");
+
+            let mut l = a0.clone();
+            let stats = factorize_mp_recovering(&mut l, &pmap, &opts).expect("escalation recovers");
+            assert!(stats.factor_attempts > 1);
+            let mut map = pmap.clone();
+            for e in &stats.escalations {
+                map.escalate_cross(e.tile.0, e.tile.1);
+            }
+            let mut fresh = a0.clone();
+            let fresh_stats = factorize_mp_recovering(&mut fresh, &map, &opts).unwrap();
+            assert_eq!(fresh_stats.factor_attempts, 1);
+            assert!(
+                tile_bits(&l) == tile_bits(&fresh),
+                "renarrow {renarrow_storage}, {nthreads} workers"
+            );
         }
     }
 }

@@ -33,6 +33,6 @@ pub use mp::{
     make_compute_buf, potrf_tile, potrf_tile_ws, reference_gemm_tile, syrk_tile, syrk_tile_ws,
     trsm_effective_precision, trsm_tile, trsm_tile_ws, ComputeBuf, KernelKind, N_COMPUTE_FORMATS,
 };
-pub use solve::{backward_solve_trans_tiled, forward_solve_tiled, spd_solve_tiled};
+pub use solve::{backward_solve_trans_tiled, forward_solve_tiled, log_det_tiled, spd_solve_tiled};
 pub use validate::{gemm_relative_error, max_rel_diff, reconstruction_error, tile_is_finite};
 pub use workspace::{with_thread_workspace, TrackedBuf, Workspace};

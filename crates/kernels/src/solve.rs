@@ -4,34 +4,74 @@
 //! own storage precision exactly once.
 
 use crate::blas;
-use mixedp_tile::SymmTileMatrix;
+use mixedp_tile::{SymmTileMatrix, Tile, TileBuf};
+
+/// `s + Σ_c t[i, c]·x[c]` over `c < x.len()`, added left to right into the
+/// one running sum, each element widened to `f64` as [`Tile::get`] does.
+fn row_dot_acc(t: &Tile, i: usize, x: &[f64], mut s: f64) -> f64 {
+    let row = i * t.cols()..i * t.cols() + x.len();
+    match t.buf() {
+        TileBuf::F64(v) => {
+            for (a, y) in v[row].iter().zip(x) {
+                s += a * y;
+            }
+        }
+        TileBuf::F32(v) => {
+            for (&a, y) in v[row].iter().zip(x) {
+                s += a as f64 * y;
+            }
+        }
+        TileBuf::F16(v) => {
+            for (a, y) in v[row].iter().zip(x) {
+                s += a.to_f64() * y;
+            }
+        }
+    }
+    s
+}
 
 /// Solve `L y = b` in place on `b`, where `l` holds the lower Cholesky
 /// factor tile-wise (as produced by the mixed-precision factorization).
+///
+/// Each row keeps one running sum across its tiles in column order, starts
+/// it where `Iterator::sum` starts, and ends with one subtraction and one
+/// division — the arithmetic of [`blas::forward_solve_in_place`] on
+/// `l.to_dense_lower()`, so `y` is bit-identical to it with no `n × n` copy.
 pub fn forward_solve_tiled(l: &SymmTileMatrix, b: &mut [f64]) {
-    let n = l.n();
-    assert_eq!(b.len(), n);
+    assert_eq!(b.len(), l.n());
     let nb = l.nb();
-    let nt = l.nt();
-    for k in 0..nt {
-        let rk = l.tile_rows(k);
-        let off_k = k * nb;
-        // subtract contributions of already-solved blocks: b_k -= L_kj y_j
-        for j in 0..k {
-            let t = l.tile(k, j);
-            let off_j = j * nb;
-            for i in 0..rk {
-                let mut s = 0.0;
-                for c in 0..t.cols() {
-                    s += t.get(i, c) * b[off_j + c];
-                }
-                b[off_k + i] -= s;
+    // `Iterator::sum`'s starting value (−0.0): it fixes the sign of an
+    // empty row's `b − s`.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    for k in 0..l.nt() {
+        let off = k * nb;
+        let d = l.tile(k, k);
+        for i in 0..d.rows() {
+            let mut s = zero;
+            for j in 0..k {
+                s = row_dot_acc(l.tile(k, j), i, &b[j * nb..(j + 1) * nb], s);
             }
+            s = row_dot_acc(d, i, &b[off..off + i], s);
+            b[off + i] = (b[off + i] - s) / d.get(i, i);
         }
-        // solve the diagonal block
-        let d = l.tile(k, k).to_f64();
-        blas::forward_solve_in_place(&d, rk, &mut b[off_k..off_k + rk]);
     }
+}
+
+/// `ln det L = Σ ln L_ii` for the tile factor `l`, summed in index order
+/// (`log|Σ|` is twice this); `None` on a non-positive or non-finite pivot.
+pub fn log_det_tiled(l: &SymmTileMatrix) -> Option<f64> {
+    let mut s = 0.0;
+    for k in 0..l.nt() {
+        let d = l.tile(k, k);
+        for i in 0..d.rows() {
+            let x = d.get(i, i);
+            if x <= 0.0 || !x.is_finite() {
+                return None;
+            }
+            s += x.ln();
+        }
+    }
+    Some(s)
 }
 
 /// Solve `Lᵀ x = b` in place on `b` (the backward stage of `Σ x = c`).
@@ -109,7 +149,7 @@ mod tests {
         let mut b_dense = b0;
         blas::forward_solve_in_place(d.data(), n, &mut b_dense);
         for (x, y) in b_tiled.iter().zip(&b_dense) {
-            assert!((x - y).abs() < 1e-11, "{x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
 

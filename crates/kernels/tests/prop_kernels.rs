@@ -2,9 +2,10 @@
 
 use mixedp_fp::{Precision, StoragePrecision};
 use mixedp_kernels::{
-    blas, gemm_relative_error, gemm_tile, gemm_tile_ws, potrf_tile, trsm_tile, Workspace,
+    blas, forward_solve_tiled, gemm_relative_error, gemm_tile, gemm_tile_ws, log_det_tiled,
+    potrf_tile, trsm_tile, Workspace,
 };
-use mixedp_tile::Tile;
+use mixedp_tile::{SymmTileMatrix, Tile};
 use proptest::prelude::*;
 
 fn tile_from(v: &[f64], rows: usize, cols: usize) -> Tile {
@@ -374,5 +375,50 @@ proptest! {
         let mut b32_ref = b32_0;
         blas::reference_trsm_rlt_f32(&l32, n, &mut b32_ref, m);
         prop_assert!(same_bits_f32(&b32, &b32_ref).is_ok(), "f32 {:?}", same_bits_f32(&b32, &b32_ref));
+    }
+
+    /// The tile forward solve and log-det on a ragged factor with F64, F32
+    /// and F16 storage tiles equal the dense route (`to_dense_lower` +
+    /// `forward_solve_in_place` + the ln-sum) bit for bit, and a zero,
+    /// negative or NaN pivot gives `None` from both.
+    #[test]
+    fn tile_solve_and_log_det_bit_match_dense(
+        n in 1usize..70, nb in 1usize..24, seed in 0u64..1000, bad in 0usize..4,
+    ) {
+        let storages = [StoragePrecision::F64, StoragePrecision::F32, StoragePrecision::F16];
+        let mut v = special_mix(seed);
+        let vals: Vec<f64> = (0..n * n).map(|_| v()).collect();
+        let pivot = seed as usize % n;
+        let l = SymmTileMatrix::from_fn(
+            n,
+            nb,
+            |i, j| match i.cmp(&j) {
+                // The strict upper triangle of a diagonal tile is never read.
+                std::cmp::Ordering::Less => f64::NAN,
+                std::cmp::Ordering::Equal if i == pivot && bad > 0 => [0.0, -0.5, f64::NAN][bad - 1],
+                std::cmp::Ordering::Equal => 1.5 + vals[i * n + i],
+                std::cmp::Ordering::Greater => vals[i * n + j],
+            },
+            |i, j| storages[(seed as usize + 7 * i + 3 * j) % 3],
+        );
+        let dense = l.to_dense_lower();
+        let mut b0: Vec<f64> = (0..n).map(|_| v()).collect();
+        if seed % 2 == 0 {
+            b0[0] = -0.0; // an empty row sum keeps `Iterator::sum`'s sign
+        }
+        let mut b_tiled = b0.clone();
+        forward_solve_tiled(&l, &mut b_tiled);
+        let mut b_dense = b0;
+        blas::forward_solve_in_place(dense.data(), n, &mut b_dense);
+        prop_assert!(same_bits_f64(&b_tiled, &b_dense).is_ok(), "{:?}", same_bits_f64(&b_tiled, &b_dense));
+
+        let ln_sum = (0..n).try_fold(0.0, |s, i| {
+            let d = dense.data()[i * n + i];
+            (d > 0.0 && d.is_finite()).then(|| s + d.ln())
+        });
+        prop_assert_eq!(log_det_tiled(&l).map(f64::to_bits), ln_sum.map(f64::to_bits));
+        if bad > 0 {
+            prop_assert!(ln_sum.is_none());
+        }
     }
 }

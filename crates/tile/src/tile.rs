@@ -221,12 +221,28 @@ impl Tile {
 
     /// Convert this tile to another storage format (a real datatype
     /// conversion: narrowing loses the appropriate bits). Returns the new
-    /// tile; the caller accounts for the conversion cost.
+    /// tile; the caller accounts for the conversion cost. The target buffer
+    /// is built straight from the source buffer with one rounding per
+    /// element, bit-identical to widening to `f64` and storing from there.
     pub fn converted_to(&self, storage: StoragePrecision) -> Tile {
-        if storage == self.storage() {
-            return self.clone();
-        }
-        Tile::from_f64(self.rows, self.cols, &self.to_f64(), storage)
+        let buf = match storage {
+            StoragePrecision::F64 => {
+                let mut v = Vec::with_capacity(self.len());
+                self.read_f64_into(&mut v);
+                TileBuf::F64(v)
+            }
+            StoragePrecision::F32 => {
+                let mut v = Vec::with_capacity(self.len());
+                self.read_f32_into(&mut v);
+                TileBuf::F32(v)
+            }
+            StoragePrecision::F16 => TileBuf::F16(match &self.buf {
+                TileBuf::F64(v) => v.iter().map(|&x| f16::from_f64(x)).collect(),
+                TileBuf::F32(v) => v.iter().map(|&x| f16::from_f32(x)).collect(),
+                TileBuf::F16(v) => v.clone(),
+            }),
+        };
+        Tile { buf, ..*self }
     }
 
     /// Squared Frobenius norm, accumulated in f64.
@@ -307,6 +323,52 @@ mod tests {
             data,
             "exactly-representable values survive widening"
         );
+    }
+
+    #[test]
+    fn converted_to_matches_widen_then_store_bitwise() {
+        // Subnormals of every format, values that overflow the narrower
+        // formats to ±∞, ±∞, NaN, −0.0 and halfway cases.
+        let data = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -(f32::MIN_POSITIVE as f64) / 5.0,
+            6.103515625e-5 / 7.0, // below binary16 MIN_POSITIVE (2^-14)
+            f16::from_bits(1).to_f64() / 2.0,
+            65504.0 * 2.0, // twice binary16 MAX
+            -(f32::MAX as f64) * 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.0 / 3.0,
+            -65519.0,
+            1.0 + f32::EPSILON as f64 / 2.0,
+            2049.0,
+            -1e-300,
+        ];
+        let all = [
+            StoragePrecision::F64,
+            StoragePrecision::F32,
+            StoragePrecision::F16,
+        ];
+        let bits = |t: &Tile| -> Vec<u64> {
+            match t.buf() {
+                TileBuf::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+                TileBuf::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+                TileBuf::F16(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            }
+        };
+        for src in all {
+            let t = Tile::from_f64(4, 4, &data, src);
+            for dst in all {
+                let got = t.converted_to(dst);
+                let want = Tile::from_f64(4, 4, &t.to_f64(), dst);
+                assert_eq!(got.storage(), dst);
+                assert_eq!((got.rows(), got.cols()), (4, 4));
+                assert_eq!(bits(&got), bits(&want), "{src:?} -> {dst:?}");
+            }
+        }
     }
 
     #[test]
